@@ -9,6 +9,9 @@ is a linear solve against (I - P00):
 * expected pre-absorption income  r[l] = E[sum of c over the segment],
   solving (I - P00) r = c, with the starting state counted.
 
+``analyze_chain`` gets both from one factorization, solving against the
+stacked right-hand side [P01 | c].
+
 Certain absorption makes (I - P00) nonsingular; a singular system on a
 validated model is therefore reported as an internal inconsistency.
 """
@@ -43,10 +46,13 @@ class AbsorptionAnalysis:
 def fundamental_solve(p00: np.ndarray, rhs: np.ndarray, *, residual_tol: float = RESIDUAL_TOL) -> np.ndarray:
     """Solve (I - P00) X = rhs by LU with partial pivoting.
 
-    The result must satisfy max|(I - P00) X - rhs| <= residual_tol *
-    max(1, max|rhs|); one step of iterative refinement is applied if the
-    first solve misses the bound. Raises SingularSystemError when the
-    system is exactly or numerically singular.
+    Each rhs column k is checked against its own bound: the solution must
+    satisfy max|(I - P00) X[:, k] - rhs[:, k]| <= residual_tol *
+    max(1, max|rhs[:, k]|), so stacking right-hand sides of different
+    magnitudes into one solve loosens no column's check. Columns that miss
+    their bound after the first solve get one step of iterative refinement.
+    Raises SingularSystemError when the system is exactly or numerically
+    singular.
     """
     p00 = np.asarray(p00, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
@@ -55,20 +61,25 @@ def fundamental_solve(p00: np.ndarray, rhs: np.ndarray, *, residual_tol: float =
         x = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"(I - P00) is singular: {exc}") from exc
-
-    bound = residual_tol * max(1.0, float(np.max(np.abs(rhs))) if rhs.size else 0.0)
-    residual = float(np.max(np.abs(a @ x - rhs))) if rhs.size else 0.0
     if not np.isfinite(x).all():
         raise SingularSystemError("(I - P00) is numerically singular, solution overflowed")
-    if residual > bound:
-        x = x + np.linalg.solve(a, rhs - a @ x)
-        residual = float(np.max(np.abs(a @ x - rhs)))
-        if not np.isfinite(x).all() or residual > bound:
+    if rhs.size == 0:
+        return x
+
+    cols = rhs.reshape(rhs.shape[0], -1)
+    sol = x.reshape(cols.shape)
+    bound = residual_tol * np.maximum(1.0, np.max(np.abs(cols), axis=0))
+    miss = np.max(np.abs(a @ sol - cols), axis=0) > bound
+    if miss.any():
+        sol[:, miss] += np.linalg.solve(a, cols[:, miss] - a @ sol[:, miss])
+        residual = np.max(np.abs(a @ sol - cols), axis=0)
+        k = int(np.argmax(residual / bound))
+        if not np.isfinite(sol).all() or residual[k] > bound[k]:
             raise SingularSystemError(
-                f"(I - P00) is numerically singular: residual {residual:.3e} "
-                f"exceeds bound {bound:.3e} after refinement"
+                f"(I - P00) is numerically singular: residual {residual[k]:.3e} "
+                f"exceeds bound {bound[k]:.3e} after refinement"
             )
-    return x
+    return sol.reshape(x.shape)
 
 
 def absorption_probabilities(spec: ChainSpec) -> np.ndarray:
@@ -82,11 +93,10 @@ def expected_income(spec: ChainSpec) -> np.ndarray:
 
 
 def analyze_chain(spec: ChainSpec) -> AbsorptionAnalysis:
-    """Solve both systems once and bundle the results."""
-    return AbsorptionAnalysis(
-        b=absorption_probabilities(spec),
-        r=expected_income(spec),
-    )
+    """Solve for b and r with one factorization of (I - P00), on the
+    stacked right-hand side [P01 | c]."""
+    x = fundamental_solve(spec.p00, np.column_stack([spec.p01, spec.c]))
+    return AbsorptionAnalysis(b=x[:, :2], r=x[:, 2])
 
 
 def check_positivity(analysis: AbsorptionAnalysis, epsilon: float = POSITIVITY_EPS) -> ValidationReport:

@@ -60,7 +60,10 @@ class ChainSpec:
     d1: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_internal", int(self.n_internal))
+        # a count of any other type is kept as given for validate_chain to
+        # reject; int() would silently turn 2.5, "2" or True into a count
+        if isinstance(self.n_internal, np.integer):
+            object.__setattr__(self, "n_internal", int(self.n_internal))
         for name in ("p00", "p01", "c", "d0", "d1"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
 
@@ -135,8 +138,9 @@ def _reaches_boundary(p00: np.ndarray, p01: np.ndarray) -> np.ndarray:
 def validate_chain(spec: ChainSpec) -> ValidationReport:
     """Check the structural invariants of a model.
 
-    Errors: BAD_COUNT, BAD_SHAPE, NOT_FINITE, PROB_RANGE, ROW_SUM (each
-    row of [p01 | p00] must sum to 1 within 1e-9; no silent
+    Errors: BAD_COUNT (n_internal must be an int >= 1; a bool, float or
+    str is rejected, not converted), BAD_SHAPE, NOT_FINITE, PROB_RANGE,
+    ROW_SUM (each row of [p01 | p00] must sum to 1 within 1e-9; no silent
     renormalization), NO_ABSORPTION (every internal state must reach the
     boundary through positive-probability transitions). Warnings flag
     suspicious but legal content such as non-negative transfer costs.
@@ -145,6 +149,9 @@ def validate_chain(spec: ChainSpec) -> ValidationReport:
     warnings: list[Violation] = []
     n = spec.n_internal
 
+    if isinstance(n, bool) or not isinstance(n, int):
+        errors.append(Violation("BAD_COUNT", f"n_internal must be an integer, got {n!r}"))
+        return ValidationReport(tuple(errors), tuple(warnings))
     if n < 1:
         errors.append(Violation("BAD_COUNT", f"n_internal must be >= 1, got {n}"))
         return ValidationReport(tuple(errors), tuple(warnings))

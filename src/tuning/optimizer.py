@@ -4,34 +4,61 @@ The long-run average income, viewed as a function of the strategy pair,
 is a ratio of two bilinear forms, so its extrema over the product of
 probability simplices are attained at vertices: deterministic policies
 that always restart at a fixed internal state from each boundary side.
-Solving the problem therefore reduces to a scan of the ratio table for
-its global extremum.
+
+Watched at boundary hits, such a policy is a two-state average-reward
+decision process: the state is the boundary i, the action the restart
+label l, the reward g_i[l] = d_i[l] + r[l] and the transition b[l, :].
+Howard's policy iteration finds its optimal pair in O(n) per step. For
+any scalar h and
+
+    q0[l] = g0[l] + b[l, 1] * h,    q1[l] = g1[l] - b[l, 0] * h,
+
+the value of every pair is a convex combination of its q-values,
+
+    c_table[m0, m1] = mu0 * q0[m0] + mu1 * q1[m1],
+    (mu0, mu1) = (b[m1, 0], b[m0, 1]) / (b[m0, 1] + b[m1, 0]),
+
+so a pair whose q-values are both maximal is optimal. The n x n ratio
+table is never built on the solve path; it stays available as
+``OptimalControl.c_table``, the oracle the tests scan.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .absorption import analyze_chain, check_positivity
+from .absorption import AbsorptionAnalysis, analyze_chain, check_positivity
 from .errors import PositivityError
 from .model import ChainSpec
-from .stationary import cost_coefficients
+from .stationary import _coefficient_tables, _ratio_values, cost_coefficients
 
 DIRECTIONS = ("maximize", "minimize")
 DOMINANCE_TOL = 1e-9
+# rounding allowance of the candidate window, in units of machine epsilon
+# times max|g| + |h|: a first-order error analysis of the q-values (2 each)
+# and the table entries (4 each) needs 14
+ROUNDOFF_ULPS = 16.0
 
 
 @dataclass(frozen=True, eq=False)
 class OptimalControl:
-    """Best deterministic policy: restart labels, value, and the full table."""
+    """Best deterministic policy: restart labels and value, with the model
+    and absorption analysis it was solved from."""
 
     m0_star: int
     m1_star: int
     value: float
     direction: str
-    c_table: np.ndarray
+    spec: ChainSpec
+    analysis: AbsorptionAnalysis
+
+    @functools.cached_property
+    def c_table(self) -> np.ndarray:
+        """The full (n, n) ratio table, built on first access."""
+        return cost_coefficients(self.spec, self.analysis).c_table
 
 
 @dataclass(frozen=True)
@@ -52,10 +79,59 @@ class RefutationReport:
     violations: int
 
 
-def solve_tuning(spec: ChainSpec, direction: str = "maximize") -> OptimalControl:
-    """Scan the ratio table for its global extremum.
+def _pair_value(g0, g1, b0, b1, m0: int, m1: int) -> float:
+    """Closed-form value of the pair, in the table's order of operations."""
+    return (g0[m0] * b0[m1] + b1[m0] * g1[m1]) / (b1[m0] + b0[m1])
 
-    Ties are broken toward the lexicographically smallest label pair.
+
+def _policy_iteration(g0, g1, b0, b1) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """Maximize the pair value; return the value, h and q-values of the last pair.
+
+    Each step sets h so that the current pair's two q-values equal its
+    value, then moves each boundary to its best q-value. A step is taken
+    only while the value strictly increases, which bounds the number of
+    steps in floating point as in exact arithmetic.
+    """
+    m0, m1 = int(np.argmax(g0)), int(np.argmax(g1))
+    value = _pair_value(g0, g1, b0, b1, m0, m1)
+    while True:
+        h = (g1[m1] - g0[m0]) / (b1[m0] + b0[m1])
+        q0 = g0 + b1 * h
+        q1 = g1 - b0 * h
+        n0, n1 = int(np.argmax(q0)), int(np.argmax(q1))
+        improved = _pair_value(g0, g1, b0, b1, n0, n1)
+        if not improved > value:
+            return value, h, q0, q1
+        m0, m1, value = n0, n1, improved
+
+
+def _candidates(g0, g1, b0, b1) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns holding every pair whose table entry can reach the
+    maximum in floating point.
+
+    With top = max(q0, q1, value) and the convex-combination identity,
+    a pair within eps of the best value has mu0 * (top - q0[m0]) <= top -
+    value + eps, and mu0 >= min b0 / (max b1 + min b0); likewise for m1.
+    The slack covers the rounding in the q-values and in the entries.
+    """
+    value, h, q0, q1 = _policy_iteration(g0, g1, b0, b1)
+    slack = ROUNDOFF_ULPS * np.finfo(float).eps * (max(np.max(np.abs(g0)), np.max(np.abs(g1))) + abs(h))
+    top = max(value, np.max(q0), np.max(q1))
+    gap = top - value + slack
+    mu0 = np.min(b0) / (np.max(b1) + np.min(b0))
+    mu1 = np.min(b1) / (np.max(b0) + np.min(b1))
+    rows = np.flatnonzero(q0 >= top - gap / mu0 - slack)
+    cols = np.flatnonzero(q1 >= top - gap / mu1 - slack)
+    return rows, cols
+
+
+def solve_tuning(spec: ChainSpec, direction: str = "maximize") -> OptimalControl:
+    """Find the best deterministic pair by policy iteration.
+
+    The pair reported is the one a scan of the full ratio table would
+    report: the first entry, in (m0, m1) order, equal to the table's
+    extremum, with the table entry as its value. Policy iteration narrows
+    the scan to the few rows and columns that can hold that entry.
     Strict positivity of the absorption probabilities is checked first
     and a PositivityError raised if it fails.
     """
@@ -69,18 +145,28 @@ def solve_tuning(spec: ChainSpec, direction: str = "maximize") -> OptimalControl
             f"{len(positivity.errors)} absorption probabilities are not strictly "
             f"positive, e.g. {first.message}"
         )
-    coeffs = cost_coefficients(spec, analysis)
-    table = coeffs.c_table
+    # negating the incomes negates every table entry exactly, so the
+    # minimum is found as the maximum of the negated problem
+    sign = 1.0 if direction == "maximize" else -1.0
+    rows, cols = _candidates(
+        sign * (spec.d0 + analysis.r),
+        sign * (spec.d1 + analysis.r),
+        analysis.b[:, 0],
+        analysis.b[:, 1],
+    )
+    a, bt = _coefficient_tables(spec, analysis, rows, cols)
+    block = a / bt
     # np.argmax/argmin return the first flat index, which is lexicographic
-    # in (row, column) order
-    flat = int(np.argmax(table) if direction == "maximize" else np.argmin(table))
-    i0, i1 = divmod(flat, spec.n_internal)
+    # in (row, column) order, within the block as in the full table
+    flat = int(np.argmax(block) if direction == "maximize" else np.argmin(block))
+    i0, i1 = divmod(flat, cols.size)
     return OptimalControl(
-        m0_star=i0 + 2,
-        m1_star=i1 + 2,
-        value=float(table[i0, i1]),
+        m0_star=int(rows[i0]) + 2,
+        m1_star=int(cols[i1]) + 2,
+        value=float(block[i0, i1]),
         direction=direction,
-        c_table=table,
+        spec=spec,
+        analysis=analysis,
     )
 
 
@@ -119,17 +205,12 @@ def refute_with_random_strategies(
             samples=0, seed=seed, tolerance=tolerance,
             best_observed=None, gap=None, violations=0,
         )
-    analysis = analyze_chain(spec)
+    analysis = control.analysis if control.spec is spec else analyze_chain(spec)
     rng = np.random.default_rng(seed)
     n = spec.n_internal
     alpha0 = _simplex_rows(rng, samples, n)
     alpha1 = _simplex_rows(rng, samples, n)
-
-    g0 = spec.d0 + analysis.r
-    g1 = spec.d1 + analysis.r
-    to0 = alpha1 @ analysis.b[:, 0]
-    to1 = alpha0 @ analysis.b[:, 1]
-    values = ((alpha0 @ g0) * to0 + (alpha1 @ g1) * to1) / (to0 + to1)
+    values = _ratio_values(alpha0, alpha1, spec, analysis)
 
     if control.direction == "maximize":
         best = float(values.max())

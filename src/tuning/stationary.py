@@ -66,6 +66,16 @@ class CostCoefficients:
     c_table: np.ndarray
 
 
+def _require_switching(off) -> None:
+    """Raise DegenerateChainError unless every off-diagonal mass given
+    exceeds DEGENERACY_TOL."""
+    worst = float(np.min(off))
+    if worst <= DEGENERACY_TOL:
+        raise DegenerateChainError(
+            f"boundary chain has off-diagonal mass {worst!r}, no unique stationary law"
+        )
+
+
 def _check_lengths(strategy: Strategy, n: int) -> None:
     if strategy.alpha0.shape != (n,) or strategy.alpha1.shape != (n,):
         raise ValueError(
@@ -88,10 +98,7 @@ def stationary_distribution(p_tilde: np.ndarray) -> np.ndarray:
     """
     p_tilde = np.asarray(p_tilde, dtype=float)
     off = float(p_tilde[0, 1] + p_tilde[1, 0])
-    if off <= DEGENERACY_TOL:
-        raise DegenerateChainError(
-            f"boundary chain has off-diagonal mass {off!r}, no unique stationary law"
-        )
+    _require_switching(off)
     return np.array([p_tilde[1, 0] / off, p_tilde[0, 1] / off])
 
 
@@ -116,14 +123,31 @@ def embedded_chain(strategy: Strategy, spec: ChainSpec, analysis: AbsorptionAnal
     )
 
 
-def _coefficient_tables(spec: ChainSpec, analysis: AbsorptionAnalysis) -> tuple[np.ndarray, np.ndarray]:
-    g0 = spec.d0 + analysis.r
-    g1 = spec.d1 + analysis.r
-    b0 = analysis.b[:, 0]
-    b1 = analysis.b[:, 1]
+def _coefficient_tables(
+    spec: ChainSpec, analysis: AbsorptionAnalysis, rows=slice(None), cols=slice(None)
+) -> tuple[np.ndarray, np.ndarray]:
+    """a_table and b_table restricted to the m0 indices ``rows`` and the m1
+    indices ``cols``; every entry is computed by the same operations as in
+    the full tables, so a sub-block is bitwise equal to the full tables'."""
+    g0 = spec.d0[rows] + analysis.r[rows]
+    g1 = spec.d1[cols] + analysis.r[cols]
+    b0 = analysis.b[cols, 0]
+    b1 = analysis.b[rows, 1]
     a = np.outer(g0, b0) + np.outer(b1, g1)
     bt = np.add.outer(b1, b0)
     return a, bt
+
+
+def _ratio_values(alpha0: np.ndarray, alpha1: np.ndarray, spec: ChainSpec, analysis: AbsorptionAnalysis):
+    """Ratio route for one strategy, shape (n,) alphas, or for a batch of
+    strategies, shape (k, n) alphas giving k values."""
+    to0 = alpha1 @ analysis.b[:, 0]
+    to1 = alpha0 @ analysis.b[:, 1]
+    off = to0 + to1
+    _require_switching(off)
+    rho0 = alpha0 @ (spec.d0 + analysis.r)
+    rho1 = alpha1 @ (spec.d1 + analysis.r)
+    return (rho0 * to0 + rho1 * to1) / off
 
 
 def cost_coefficients(spec: ChainSpec, analysis: AbsorptionAnalysis) -> CostCoefficients:
@@ -160,23 +184,11 @@ def indicator(
         chain = embedded_chain(strategy, spec, analysis)
         return float(chain.pi @ chain.rho)
     if route == "ratio":
-        to0 = float(strategy.alpha1 @ analysis.b[:, 0])
-        to1 = float(strategy.alpha0 @ analysis.b[:, 1])
-        off = to0 + to1
-        if off <= DEGENERACY_TOL:
-            raise DegenerateChainError(
-                f"boundary chain has off-diagonal mass {off!r}, no unique stationary law"
-            )
-        rho0 = float(strategy.alpha0 @ (spec.d0 + analysis.r))
-        rho1 = float(strategy.alpha1 @ (spec.d1 + analysis.r))
-        return (rho0 * to0 + rho1 * to1) / off
+        return float(_ratio_values(strategy.alpha0, strategy.alpha1, spec, analysis))
     if route == "fractional":
         a, bt = _coefficient_tables(spec, analysis)
         weights = np.outer(strategy.alpha0, strategy.alpha1)
         den = float((bt * weights).sum())
-        if den <= DEGENERACY_TOL:
-            raise DegenerateChainError(
-                f"boundary chain has off-diagonal mass {den!r}, no unique stationary law"
-            )
+        _require_switching(den)
         return float((a * weights).sum()) / den
     raise ValueError(f"unknown route {route!r}, expected one of {ROUTES}")

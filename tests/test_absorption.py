@@ -39,6 +39,28 @@ class TestFundamentalSolve:
         with pytest.raises(SingularSystemError):
             fundamental_solve(np.array([[1.0]]), np.array([1.0]))
 
+    def test_each_stacked_column_keeps_its_own_bound(self):
+        # I - P00 with one singular value of 1e-9: the probability columns
+        # solve to ~1e9 and leave a residual ~3e-8, far above their bound
+        # 1e-10 but below 1e-10 * max|c| ~ 2e-2, the bound a single check on
+        # the stacked rhs would apply; the c column itself is well solved
+        rng = np.random.default_rng(0)
+        n = 6
+        u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        a = (u * np.array([1.0] * (n - 1) + [1e-9])) @ v.T
+        spec = ChainSpec(
+            n_internal=n,
+            p00=np.eye(n) - a,
+            p01=np.full((n, 2), 0.5),
+            c=1e8 * (a @ np.ones(n)),
+            d0=-np.ones(n),
+            d1=-np.ones(n),
+        )
+        fundamental_solve(spec.p00, spec.c)
+        with pytest.raises(SingularSystemError, match="exceeds bound 1.000e-10"):
+            analyze_chain(spec)
+
     def test_vector_and_matrix_rhs(self, reference_spec):
         vec = fundamental_solve(reference_spec.p00, reference_spec.c)
         mat = fundamental_solve(reference_spec.p00, reference_spec.c[:, None])

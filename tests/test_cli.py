@@ -56,6 +56,17 @@ class TestValidateCommand:
         assert doc["errors"][0]["code"] == "ROW_SUM"
         assert doc["errors"][0]["where"] == 2
 
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    @pytest.mark.parametrize("count", [2.5, "2", True])
+    def test_non_integer_count_exits_one(self, capsys, tmp_path, reference_model_file, command, count):
+        doc = json.loads(reference_model_file.read_text())
+        doc["n_internal"] = count
+        status, out = run_cli(capsys, command, str(write_json(tmp_path / "count.json", doc)))
+        assert status == 1
+        report = json.loads(out)
+        assert report["valid"] is False
+        assert [e["code"] for e in report["errors"]] == ["BAD_COUNT"]
+
     def test_unparseable_file_exits_one(self, capsys, tmp_path):
         path = tmp_path / "mangled.json"
         path.write_text("{not json")

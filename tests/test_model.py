@@ -108,6 +108,21 @@ class TestValidateChain:
         spec = ChainSpec(n_internal=0, p00=[[]], p01=[[]], c=[], d0=[], d1=[])
         assert codes(validate_chain(spec)) == ["BAD_COUNT"]
 
+    @pytest.mark.parametrize("count", [2.5, 2.0, "2", True, None])
+    def test_count_that_is_not_an_int_is_rejected_not_coerced(self, reference_spec, count):
+        doc = chain_spec_to_dict(reference_spec)
+        doc["n_internal"] = count
+        spec = chain_spec_from_dict(doc)
+        assert spec.n_internal is count
+        assert codes(validate_chain(spec)) == ["BAD_COUNT"]
+
+    def test_numpy_integer_count_is_accepted(self, reference_spec):
+        doc = chain_spec_to_dict(reference_spec)
+        doc["n_internal"] = np.int64(2)
+        spec = chain_spec_from_dict(doc)
+        assert type(spec.n_internal) is int
+        assert validate_chain(spec).ok
+
     def test_positive_transfer_cost_is_warning_only(self):
         spec = ChainSpec(
             n_internal=1, p00=[[0.0]], p01=[[0.5, 0.5]], c=[1.0], d0=[0.5], d1=[-1.0]

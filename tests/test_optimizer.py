@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import tuning.optimizer
 from tuning import (
     ChainSpec,
     PositivityError,
     analyze_chain,
+    cost_coefficients,
     degenerate_strategy,
     indicator,
     refute_with_random_strategies,
@@ -16,6 +18,31 @@ from tuning import (
 
 from oracles import exact_tables, random_spec
 from strats import chain_specs
+
+
+def assert_matches_table_scan(spec, direction):
+    """The solver's pair and value are the full table scan's, bitwise."""
+    control = solve_tuning(spec, direction)
+    table = cost_coefficients(spec, analyze_chain(spec)).c_table
+    flat = int(np.argmax(table) if direction == "maximize" else np.argmin(table))
+    i, j = divmod(flat, spec.n_internal)
+    assert (control.m0_star, control.m1_star) == (i + 2, j + 2)
+    assert control.value == table[i, j]
+
+
+def duplicated_states(spec, copies):
+    """A chain whose state k copies state copies[k] of ``spec``, its internal
+    mass spread over the copies: equal rows give b and r equal up to
+    roundoff, so exact and near ties in the table."""
+    block = spec.p00[np.ix_(copies, copies)]
+    return ChainSpec(
+        n_internal=len(copies),
+        p00=block * (spec.p00.sum(axis=1)[copies] / block.sum(axis=1))[:, None],
+        p01=spec.p01[copies],
+        c=spec.c[copies],
+        d0=spec.d0[copies],
+        d1=spec.d1[copies],
+    )
 
 
 class TestSolveTuning:
@@ -60,6 +87,51 @@ class TestSolveTuning:
         control = solve_tuning(spec, "maximize")
         assert (control.m0_star, control.m1_star) == (2, 2)
         assert np.max(np.abs(control.c_table - control.value)) == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=chain_specs())
+    @pytest.mark.parametrize("direction", ["maximize", "minimize"])
+    def test_policy_iteration_equals_table_scan(self, spec, direction):
+        assert_matches_table_scan(spec, direction)
+
+    @pytest.mark.parametrize("direction", ["maximize", "minimize"])
+    def test_duplicated_states_tie_like_the_table_scan(self, direction):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            base = random_spec(rng, int(rng.integers(1, 8)))
+            copies = rng.integers(0, base.n_internal, size=int(rng.integers(2, 12)))
+            assert_matches_table_scan(duplicated_states(base, copies), direction)
+
+    @pytest.mark.parametrize("direction", ["maximize", "minimize"])
+    def test_constant_table_picks_first_pair(self, direction):
+        n = 7
+        spec = ChainSpec(
+            n_internal=n,
+            p00=np.zeros((n, n)),
+            p01=np.full((n, 2), 0.5),
+            c=np.ones(n),
+            d0=np.full(n, -0.5),
+            d1=np.full(n, -0.5),
+        )
+        control = solve_tuning(spec, direction)
+        assert (control.m0_star, control.m1_star) == (2, 2)
+        assert_matches_table_scan(spec, direction)
+
+    @pytest.mark.parametrize("direction", ["maximize", "minimize"])
+    @pytest.mark.parametrize("power", [-40, -3, 5, 60])
+    def test_power_of_two_scaled_costs_match_table_scan(self, direction, power):
+        rng = np.random.default_rng(power + 100)
+        for _ in range(5):
+            base = random_spec(rng, int(rng.integers(2, 9)))
+            scaled = ChainSpec(
+                n_internal=base.n_internal,
+                p00=base.p00,
+                p01=base.p01,
+                c=base.c,
+                d0=2.0**power * base.d0,
+                d1=2.0**power * base.d1,
+            )
+            assert_matches_table_scan(scaled, direction)
 
     def test_unknown_direction(self, reference_spec):
         with pytest.raises(ValueError, match="direction"):
@@ -156,6 +228,24 @@ class TestRefutation:
         control = solve_tuning(reference_spec)
         with pytest.raises(ValueError, match="samples"):
             refute_with_random_strategies(reference_spec, control, -1, seed=0)
+
+    def test_reuses_the_analysis_of_the_same_spec(self, reference_spec, monkeypatch):
+        calls = []
+        analyze = tuning.optimizer.analyze_chain
+
+        def counting(spec):
+            calls.append(spec)
+            return analyze(spec)
+
+        monkeypatch.setattr(tuning.optimizer, "analyze_chain", counting)
+        control = solve_tuning(reference_spec)
+        reused = refute_with_random_strategies(reference_spec, control, 500, seed=4)
+        assert len(calls) == 1
+        # an equal model in another object is analyzed again, same result
+        twin = ChainSpec(**{k: getattr(reference_spec, k) for k in ("n_internal", "p00", "p01", "c", "d0", "d1")})
+        again = refute_with_random_strategies(twin, control, 500, seed=4)
+        assert calls == [reference_spec, twin]
+        assert again == reused
 
     def test_bulk_dominance(self):
         rng = np.random.default_rng(55)
