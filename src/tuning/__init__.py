@@ -19,6 +19,7 @@ from .absorption import (
 from .errors import (
     CycleLimitError,
     DegenerateChainError,
+    NumericOverflowError,
     PositivityError,
     SingularSystemError,
     TuningError,
@@ -73,6 +74,7 @@ __all__ = [
     "CycleLimitError",
     "DegenerateChainError",
     "EmbeddedChain",
+    "NumericOverflowError",
     "OptimalControl",
     "PositivityError",
     "RefutationReport",

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularSystemError
+from .errors import NumericOverflowError, SingularSystemError
 from .model import ChainSpec, ValidationReport, Violation
 
 RESIDUAL_TOL = 1e-10
@@ -94,8 +94,21 @@ def expected_income(spec: ChainSpec) -> np.ndarray:
 
 def analyze_chain(spec: ChainSpec) -> AbsorptionAnalysis:
     """Solve for b and r with one factorization of (I - P00), on the
-    stacked right-hand side [P01 | c]."""
-    x = fundamental_solve(spec.p00, np.column_stack([spec.p01, spec.c]))
+    stacked right-hand side [P01 | c].
+
+    Raises NumericOverflowError when b solves cleanly on its own but r
+    leaves the float range: (I - P00) is then sound and the incomes are
+    too large, so SINGULAR_SYSTEM would misname the failure.
+    """
+    try:
+        x = fundamental_solve(spec.p00, np.column_stack([spec.p01, spec.c]))
+    except SingularSystemError:
+        fundamental_solve(spec.p00, spec.p01)  # raises if (I - P00) is at fault
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = np.linalg.solve(np.eye(spec.n_internal) - spec.p00, spec.c)
+        if np.isfinite(r).all():
+            raise
+        raise NumericOverflowError("expected segment income r overflowed the float range") from None
     return AbsorptionAnalysis(b=x[:, :2], r=x[:, 2])
 
 

@@ -48,3 +48,14 @@ class CycleLimitError(TuningError):
     """A single free-evolution segment exceeded the configured step limit."""
 
     code = "CYCLE_LIMIT"
+
+
+class NumericOverflowError(TuningError):
+    """A result left the float range although every input is finite.
+
+    Raised when the expected segment income r, or a simulated total or
+    scatter of incomes, overflows; reported instead of an Infinity or NaN
+    in the output document.
+    """
+
+    code = "OVERFLOW"

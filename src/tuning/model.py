@@ -23,9 +23,16 @@ ROW_SUM_TOL = 1e-9
 STRATEGY_SUM_TOL = 1e-9
 
 
-def _frozen(values, *, dtype=float) -> np.ndarray:
-    """Copy into a read-only float array so instances are freely shareable."""
-    arr = np.array(values, dtype=dtype)
+def _frozen(values) -> np.ndarray:
+    """Copy into a read-only array so instances are freely shareable.
+
+    Integer and float input becomes float. Any other dtype (strings,
+    booleans, objects) is kept as given for the validators to reject as
+    NOT_NUMERIC; converting with dtype=float would silently parse "0.5".
+    """
+    arr = np.array(values)
+    if arr.dtype.kind in "iuf":
+        arr = arr.astype(float, copy=False)
     arr.flags.writeable = False
     return arr
 
@@ -139,11 +146,13 @@ def validate_chain(spec: ChainSpec) -> ValidationReport:
     """Check the structural invariants of a model.
 
     Errors: BAD_COUNT (n_internal must be an int >= 1; a bool, float or
-    str is rejected, not converted), BAD_SHAPE, NOT_FINITE, PROB_RANGE,
-    ROW_SUM (each row of [p01 | p00] must sum to 1 within 1e-9; no silent
-    renormalization), NO_ABSORPTION (every internal state must reach the
-    boundary through positive-probability transitions). Warnings flag
-    suspicious but legal content such as non-negative transfer costs.
+    str is rejected, not converted), NOT_NUMERIC (an array field holds
+    strings, booleans or other non-numbers), BAD_SHAPE, NOT_FINITE,
+    PROB_RANGE, ROW_SUM (each row of [p01 | p00] must sum to 1 within
+    1e-9; no silent renormalization), NO_ABSORPTION (every internal state
+    must reach the boundary through positive-probability transitions).
+    Warnings flag suspicious but legal content such as non-negative
+    transfer costs.
     """
     errors: list[Violation] = []
     warnings: list[Violation] = []
@@ -164,8 +173,11 @@ def validate_chain(spec: ChainSpec) -> ValidationReport:
         "d1": (n,),
     }
     for name, shape in expected.items():
-        got = getattr(spec, name).shape
-        if got != shape:
+        arr = getattr(spec, name)
+        got = arr.shape
+        if arr.dtype.kind not in "iuf":
+            errors.append(Violation("NOT_NUMERIC", f"{name} must hold numbers only", name))
+        elif got != shape:
             errors.append(
                 Violation("BAD_SHAPE", f"{name} must have shape {shape}, got {got}", name)
             )
@@ -228,12 +240,15 @@ def validate_chain(spec: ChainSpec) -> ValidationReport:
 def validate_strategy(strategy: Strategy, n_internal: int) -> ValidationReport:
     """Check that both intervention vectors are probability distributions.
 
-    Errors: BAD_SHAPE, NOT_FINITE, NEGATIVE_MASS, NOT_NORMALIZED (sum must
-    be within 1e-9 of 1).
+    Errors: NOT_NUMERIC, BAD_SHAPE, NOT_FINITE, NEGATIVE_MASS,
+    NOT_NORMALIZED (sum must be within 1e-9 of 1).
     """
     errors: list[Violation] = []
     for name in ("alpha0", "alpha1"):
         vec = getattr(strategy, name)
+        if vec.dtype.kind not in "iuf":
+            errors.append(Violation("NOT_NUMERIC", f"{name} must hold numbers only", name))
+            continue
         if vec.shape != (n_internal,):
             errors.append(
                 Violation(

@@ -1,41 +1,51 @@
-"""Step-by-step simulation of the controlled process.
+"""Regenerative simulation of the controlled process.
 
-Conventions, shared by `simulate` and `sample_trajectory` so that both
-consume the random stream identically:
+The process regenerates at every boundary hit, so cycles that start at the
+same boundary state are iid (Crane & Iglehart 1975; Glynn & Iglehart
+1987). The simulator draws a pool of cycles per boundary state, steps the
+cycles of a pool in numpy lockstep, and stitches the pools into one path.
+`simulate` and `sample_trajectory` run this one kernel.
 
 * The process starts at the smallest internal label. The warm-up segment
   (start to first boundary hit) is excluded from all accounting.
 * A cycle runs from one boundary hit to the next. Its income is the
   transfer cost d_l of the chosen restart state, plus c_l once for every
   step spent in an internal state, the restart (arrival) state included,
-  boundary states excluded.
+  boundary states excluded, summed in path order.
 * Next states are drawn by inverse CDF over ascending state labels
-  (boundary 0, boundary 1, then internal labels); restart states by
-  inverse CDF over ascending internal labels.
-* Stream s of seed k uses PCG64 seeded with SeedSequence(k, spawn_key=(s,))
-  (64-bit seedable, period 2**128). `simulate` is stream 0; replication
-  r of `simulate_replicated` is stream r, and results are combined in
-  replication order, so every result is reproducible from (seed, stream).
+  (boundary 0, boundary 1, then internal labels), restart states over
+  ascending internal labels: exactly `bisect_right` on the cumulative row.
+* Streams: replication s of seed k draws from the PCG64 streams
+  SeedSequence(k, spawn_key=(s, j)); j = 0 and 1 feed the pools of
+  boundary 0 and 1, j = 2 the warm-up. `simulate` is replication 0.
+* Pool b grows in chunks of 1, 16, 256 and then 4096 cycles each. A chunk
+  draws one uniform per restart, then one per running cycle per step.
+  The schedule does not depend on the request, so `simulate` with any
+  cycle count and `sample_trajectory` see prefixes of the same cycles.
+* Stitching: the i-th visit to boundary b takes the i-th cycle of pool b.
+  Buffered cycles are stitched as far as they reach, folded into the
+  totals, and only the pool that ran out is refilled.
+* ``segment_limit`` bounds the internal states of every drawn segment,
+  warm-up included, used or not: a longer one raises CycleLimitError.
+  `sample_trajectory` cuts segments at ``max_steps`` states instead.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CycleLimitError
+from .errors import CycleLimitError, NumericOverflowError
 from .model import ChainSpec, Strategy
 
 DEFAULT_SEGMENT_LIMIT = 10**9
+_CHUNK_CAP = 4096
 
 FREE_MOVE = "free_move"
 ABSORPTION = "absorption"
 TRANSFER = "transfer"
-
-_BLOCK = 8192
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,142 +90,158 @@ class SimulationStats:
         }
 
 
-def _stream_rng(seed: int, stream: int) -> np.random.Generator:
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream,))))
+class _Picker:
+    """Exact inverse CDF over the rows of a probability table.
+
+    The pick for a uniform u from row s is bisect_right(cum[s], u), the
+    number of entries <= u of the cumulative row. That row is clipped to 1
+    and is exactly 1 from the last state with mass on, so it never falls
+    and no zero-mass state is drawn. Rows are padded to a power of two
+    with 2.0, above every u, so one branch-free binary search serves all.
+    """
+
+    def __init__(self, probs: np.ndarray) -> None:
+        k, m = probs.shape
+        self.cum = np.minimum(np.cumsum(probs, axis=1), 1.0)
+        self.cum[np.arange(m) >= m - 1 - np.argmax(probs[:, ::-1] > 0.0, axis=1)[:, None]] = 1.0
+        self.width = 1 << (m - 1).bit_length()
+        table = np.full((k, self.width), 2.0)
+        table[:, :m] = self.cum
+        # per search level: the step and the table viewed from step - 1 on
+        self.levels = [(s, table.ravel()[s - 1:]) for s in 2 ** np.arange(self.width.bit_length() - 1)[::-1]]
+
+    def __call__(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+        pos = rows * self.width
+        for step, shifted in self.levels:
+            pos += (shifted[pos] <= u) * step
+        return pos - rows * self.width
 
 
-def _uniform_stream(rng: np.random.Generator):
-    """Sequential U[0,1) draws, generated in blocks for speed."""
-    buf = rng.random(_BLOCK)
-    pos = 0
-
-    def next_u() -> float:
-        nonlocal buf, pos
-        if pos == _BLOCK:
-            buf = rng.random(_BLOCK)
-            pos = 0
-        u = buf[pos]
-        pos += 1
-        return u
-
-    return next_u
-
-
-def _cumulative_rows(spec: ChainSpec) -> list[list[float]]:
-    """Per internal state, cumulative probabilities over ascending labels
-    [boundary 0, boundary 1, internal 2..N]; top forced to exactly 1."""
-    full = np.cumsum(np.hstack([spec.p01, spec.p00]), axis=1)
-    rows = [row.tolist() for row in full]
-    for row in rows:
-        row[-1] = 1.0
-    return rows
-
-
-def _cumulative_alpha(strategy: Strategy) -> list[list[float]]:
-    rows = [np.cumsum(strategy.alpha0).tolist(), np.cumsum(strategy.alpha1).tolist()]
-    for row in rows:
-        row[-1] = 1.0
-    return rows
-
-
-def _pick(cum_row: list[float], u: float) -> int:
-    """Inverse CDF: first index whose cumulative probability exceeds u."""
-    i = bisect_right(cum_row, u)
-    return i if i < len(cum_row) else len(cum_row) - 1
-
-
-class _Welford:
-    """Streaming mean and scatter of per-cycle incomes."""
-
-    __slots__ = ("count", "mean", "m2")
+class _Moments:
+    """Count, sequential total, mean and scatter of per-cycle incomes."""
 
     def __init__(self) -> None:
-        self.count = 0
-        self.mean = 0.0
-        self.m2 = 0.0
+        self.count, self.total, self.mean, self.m2 = 0, 0.0, 0.0, 0.0
+        self.counts = np.zeros(2, dtype=np.int64)
 
-    def add(self, value: float) -> None:
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (value - self.mean)
+    def fold(self, starts: np.ndarray, incomes: np.ndarray) -> None:
+        """Add the next cycles in path order; the total is summed left to
+        right, so it equals a loop over the trajectory's cycle incomes."""
+        self.total = float(np.add.accumulate(np.concatenate(([self.total], incomes)))[-1])
+        self.counts = self.counts + np.bincount(starts, minlength=2)
+        mean = float(incomes.mean())
+        self.merge(incomes.size, mean, float(np.square(incomes - mean).sum()))
 
-    def merge(self, other: "_Welford") -> None:
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count, self.mean, self.m2 = other.count, other.mean, other.m2
-            return
-        total = self.count + other.count
-        delta = other.mean - self.mean
-        self.mean += delta * other.count / total
-        self.m2 += other.m2 + delta * delta * self.count * other.count / total
+    def merge(self, count: int, mean: float, m2: float) -> None:
+        """Chan et al.'s pairwise update of mean and scatter."""
+        total = self.count + count
+        delta = mean - self.mean
+        self.mean += delta * count / total
+        self.m2 += m2 + delta * (self.count * count / total) * delta  # 0, not inf * 0, when empty
         self.count = total
 
     def std_error(self) -> float:
-        if self.count < 2:
-            return 0.0
-        return math.sqrt(self.m2 / (self.count - 1) / self.count)
+        return math.sqrt(self.m2 / (self.count - 1) / self.count) if self.count > 1 else 0.0
 
 
-def _run_stream(
-    spec: ChainSpec,
-    strategy: Strategy,
-    cycles: int,
-    seed: int,
-    stream: int,
-    segment_limit: int,
-) -> tuple[_Welford, float, list[int]]:
-    """One independent replication; returns (per-cycle stats, total, counts)."""
-    next_u = _uniform_stream(_stream_rng(seed, stream))
-    full_cum = _cumulative_rows(spec)
-    alpha_cum = _cumulative_alpha(strategy)
-    c = spec.c.tolist()
-    d = [spec.d0.tolist(), spec.d1.tolist()]
+def _stitch(at: int, exits: list[np.ndarray]) -> tuple[np.ndarray, int]:
+    """Visit order of the buffered cycles of both pools, from boundary ``at``.
 
-    # warm-up: free evolution from the smallest internal label to the first
-    # boundary hit, income discarded
-    state = 0
-    steps = 1
-    while True:
-        idx = _pick(full_cum[state], next_u())
-        if idx < 2:
-            boundary = idx
-            break
-        state = idx - 2
-        steps += 1
-        if steps > segment_limit:
-            raise CycleLimitError(
-                f"warm-up segment exceeded {segment_limit} steps without absorption"
-            )
+    A run at boundary b takes pool-b cycles up to the first one that exits
+    to the other boundary, and runs alternate between the pools: cycle i of
+    pool b is in run 2k + (b != at), k counting the earlier pool-b cycles
+    that switch. The order ends with the first run its pool cannot finish.
+    Returns indices into the concatenated pools and that run's boundary.
+    """
+    keys = [2 * (np.cumsum(e != b) - (e != b)) + (b != at) for b, e in enumerate(exits)]
+    stop = min(2 * np.count_nonzero(e != b) + (b != at) for b, e in enumerate(exits))
+    key = np.concatenate(keys)
+    take = np.flatnonzero(key <= stop)
+    order = take[np.argsort(key[take].astype(np.int32), kind="stable")]
+    return order, at if stop % 2 == 0 else 1 - at
 
-    counts = [0, 0]
-    total = 0.0
-    welford = _Welford()
-    for _ in range(cycles):
-        counts[boundary] += 1
-        restart = _pick(alpha_cum[boundary], next_u())
-        income = d[boundary][restart] + c[restart]
-        state = restart
-        steps = 1
-        while True:
-            idx = _pick(full_cum[state], next_u())
-            if idx < 2:
-                boundary = idx
-                break
-            state = idx - 2
-            income += c[state]
+
+class _Kernel:
+    """One replication: the warm-up, drawn here, then the stitched pools.
+
+    A pool is a dict of per-cycle arrays, "exit" and "income"; recording
+    adds the "restart" state and the "path" of later internal states, and
+    cuts a segment at ``segment_limit`` states instead of raising.
+    """
+
+    def __init__(self, spec: ChainSpec, strategy: Strategy, seed: int, stream: int,
+                 segment_limit: int, record: bool = False) -> None:
+        self.step = _Picker(np.hstack([spec.p01, spec.p00]))
+        self.restart = _Picker(np.vstack([strategy.alpha0, strategy.alpha1]))
+        self.c, self.d = spec.c, np.vstack([spec.d0, spec.d1])
+        self.limit, self.record = segment_limit, record
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+        seeds = [np.random.SeedSequence(seed, spawn_key=(stream, j)) for j in range(3)]
+        self.rngs = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
+        start = np.zeros(1, dtype=np.intp)
+        self.warm = self._draw(self.rngs[2], start, self.c[start])
+
+    def _draw(self, rng: np.random.Generator, state: np.ndarray, income: np.ndarray) -> dict:
+        """Step segments from internal states to the boundary in lockstep.
+        ``income`` holds each segment's income so far."""
+        pool = {"exit": np.zeros(state.size, dtype=np.intp), "income": income}
+        if self.record:
+            pool["restart"] = state
+        ids, inc, moves, steps = np.arange(state.size), income, [], 1
+        while ids.size:
+            j = self.step(state, rng.random(ids.size))
+            hit = j < 2
+            if hit.any():
+                done, live = ids[hit], ~hit
+                pool["exit"][done], income[done] = j[hit], inc[hit]
+                ids, j, inc = ids[live], j[live], inc[live]
+            state = j - 2
+            inc = inc + self.c[state]
             steps += 1
-            if steps > segment_limit:
-                raise CycleLimitError(
-                    f"free-evolution segment exceeded {segment_limit} steps "
-                    "without absorption"
-                )
-        total += income
-        welford.add(income)
-    return welford, total, counts
+            if self.record:
+                moves.append((ids, state))
+            if ids.size and steps > self.limit:
+                if self.record:
+                    break
+                raise CycleLimitError(f"a segment exceeded {self.limit} steps without absorption")
+        if self.record:
+            ids = np.concatenate([i for i, _ in moves] + [np.zeros(0, dtype=np.intp)])
+            order = np.argsort(ids, kind="stable")
+            to = np.concatenate([s for _, s in moves] + [np.zeros(0, dtype=np.intp)])[order]
+            parts = np.split(to, np.cumsum(np.bincount(ids, minlength=income.size))[:-1])
+            pool["path"] = np.fromiter(parts, dtype=object, count=income.size)
+        return pool
+
+    def cycles(self):
+        """Yield consecutive stitched cycles after the warm-up, in batches:
+        the pool arrays in visit order plus "start", True at boundary 1."""
+        at, sizes = int(self.warm["exit"][0]), [1, 1]
+        pools = [self._draw(None, np.zeros(0, dtype=np.intp), np.zeros(0))] * 2  # empty
+        while True:
+            if not pools[at]["exit"].size:
+                size, rng = sizes[at], self.rngs[at]
+                sizes[at] = min(16 * size, _CHUNK_CAP)
+                restart = self.restart(np.full(size, at), rng.random(size))
+                pools[at] = self._draw(rng, restart, self.d[at, restart] + self.c[restart])
+            order, at = _stitch(at, [pool["exit"] for pool in pools])
+            batch = {key: np.concatenate([pools[0][key], pools[1][key]])[order] for key in pools[0]}
+            batch["start"] = order >= pools[0]["exit"].size
+            yield batch
+            taken = np.bincount(batch["start"], minlength=2)
+            pools = [{key: v[n:] for key, v in pool.items()} for pool, n in zip(pools, taken)]
+
+
+def _run_stream(spec: ChainSpec, strategy: Strategy, cycles: int, seed: int, stream: int,
+                segment_limit: int) -> _Moments:
+    """One independent replication of ``cycles`` cycles."""
+    kernel = _Kernel(spec, strategy, seed, stream, segment_limit)
+    moments = _Moments()
+    for batch in kernel.cycles():
+        take = cycles - moments.count
+        moments.fold(batch["start"][:take], batch["income"][:take])
+        if moments.count == cycles:
+            return moments
 
 
 def simulate(
@@ -226,19 +252,8 @@ def simulate(
     *,
     segment_limit: int = DEFAULT_SEGMENT_LIMIT,
 ) -> SimulationStats:
-    """Simulate exactly ``cycles`` boundary-to-boundary cycles (stream 0)."""
-    if cycles < 1:
-        raise ValueError(f"cycles must be >= 1, got {cycles}")
-    if segment_limit < 1:
-        raise ValueError(f"segment_limit must be >= 1, got {segment_limit}")
-    welford, total, counts = _run_stream(spec, strategy, cycles, seed, 0, segment_limit)
-    return SimulationStats(
-        cycles=welford.count,
-        total_income=total,
-        i_hat=total / welford.count,
-        std_error=welford.std_error(),
-        boundary_counts=(counts[0], counts[1]),
-    )
+    """Simulate exactly ``cycles`` boundary-to-boundary cycles (replication 0)."""
+    return simulate_replicated(spec, strategy, cycles, seed, 1, segment_limit=segment_limit)
 
 
 def simulate_replicated(
@@ -252,9 +267,10 @@ def simulate_replicated(
 ) -> SimulationStats:
     """Run ``replications`` independent streams of ``cycles`` each and pool.
 
-    Stream r uses the (seed, r) derivation, and partial results are merged
-    in replication order, so the outcome is deterministic and stream 0
-    alone reproduces `simulate`.
+    Replication r uses the (seed, r) streams, and partial results are
+    merged in replication order, so the outcome is deterministic and
+    replication 0 alone is `simulate`. Raises NumericOverflowError when the
+    total or the scatter of the incomes leaves the float range.
     """
     if cycles < 1:
         raise ValueError(f"cycles must be >= 1, got {cycles}")
@@ -262,23 +278,21 @@ def simulate_replicated(
         raise ValueError(f"replications must be >= 1, got {replications}")
     if segment_limit < 1:
         raise ValueError(f"segment_limit must be >= 1, got {segment_limit}")
-    pooled = _Welford()
-    total = 0.0
-    counts = [0, 0]
-    for stream in range(replications):
-        welford, sub_total, sub_counts = _run_stream(
-            spec, strategy, cycles, seed, stream, segment_limit
-        )
-        pooled.merge(welford)
-        total += sub_total
-        counts[0] += sub_counts[0]
-        counts[1] += sub_counts[1]
+    pooled = _Moments()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for stream in range(replications):
+            part = _run_stream(spec, strategy, cycles, seed, stream, segment_limit)
+            pooled.merge(part.count, part.mean, part.m2)
+            pooled.total += part.total
+            pooled.counts = pooled.counts + part.counts
+    if not (math.isfinite(pooled.total) and math.isfinite(pooled.m2)):
+        raise NumericOverflowError(f"income total {pooled.total!r} or scatter {pooled.m2!r} overflowed")
     return SimulationStats(
         cycles=pooled.count,
-        total_income=total,
-        i_hat=total / pooled.count,
+        total_income=pooled.total,
+        i_hat=pooled.total / pooled.count,
         std_error=pooled.std_error(),
-        boundary_counts=(counts[0], counts[1]),
+        boundary_counts=(int(pooled.counts[0]), int(pooled.counts[1])),
     )
 
 
@@ -288,49 +302,34 @@ def sample_trajectory(
     max_steps: int,
     seed: int,
 ) -> list[TrajectoryEvent]:
-    """Record ``max_steps`` raw steps of the controlled process (stream 0).
+    """Record ``max_steps`` raw steps of the controlled process (replication 0).
 
-    Step 0 is the start at the smallest internal label. The draw sequence
-    matches `simulate` with the same seed, so summing income_delta over the
-    events of each completed cycle (first transfer after an absorption up
-    to the next absorption) reproduces the per-cycle incomes exactly.
+    Step 0 is the start at the smallest internal label. The path is built
+    from the same cycles as `simulate` with the same seed, so summing
+    income_delta over the events of each completed cycle (first transfer
+    after an absorption up to the next absorption) reproduces the
+    per-cycle incomes exactly.
     """
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    next_u = _uniform_stream(_stream_rng(seed, 0))
-    full_cum = _cumulative_rows(spec)
-    alpha_cum = _cumulative_alpha(strategy)
-    c = spec.c.tolist()
-    d = [spec.d0.tolist(), spec.d1.tolist()]
+    c, d = spec.c.tolist(), [spec.d0.tolist(), spec.d1.tolist()]
+    events: list[TrajectoryEvent] = []
 
-    events = [TrajectoryEvent(step=0, state=2, event_kind=FREE_MOVE, income_delta=c[0])]
-    state = 0
-    boundary: int | None = None
-    for step in range(1, max_steps):
-        if boundary is None:
-            idx = _pick(full_cum[state], next_u())
-            if idx < 2:
-                boundary = idx
-                events.append(
-                    TrajectoryEvent(step=step, state=idx, event_kind=ABSORPTION, income_delta=0.0)
-                )
-            else:
-                state = idx - 2
-                events.append(
-                    TrajectoryEvent(
-                        step=step, state=state + 2, event_kind=FREE_MOVE, income_delta=c[state]
-                    )
-                )
-        else:
-            restart = _pick(alpha_cum[boundary], next_u())
-            events.append(
-                TrajectoryEvent(
-                    step=step,
-                    state=restart + 2,
-                    event_kind=TRANSFER,
-                    income_delta=d[boundary][restart] + c[restart],
-                )
-            )
-            state = restart
-            boundary = None
-    return events
+    def segment(head: int, kind: str, delta: float, path: np.ndarray, exit_: int) -> None:
+        events.append(TrajectoryEvent(len(events), head + 2, kind, delta))
+        for s in path.tolist():
+            events.append(TrajectoryEvent(len(events), s + 2, FREE_MOVE, c[s]))
+        events.append(TrajectoryEvent(len(events), exit_, ABSORPTION, 0.0))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        kernel = _Kernel(spec, strategy, seed, 0, max_steps, record=True)
+        segment(0, FREE_MOVE, c[0], kernel.warm["path"][0], int(kernel.warm["exit"][0]))
+        batches = kernel.cycles()
+        while len(events) < max_steps:
+            batch = next(batches)
+            for b, r, path, exit_ in zip(batch["start"].tolist(), batch["restart"].tolist(),
+                                         batch["path"], batch["exit"].tolist()):
+                segment(r, TRANSFER, d[b][r] + c[r], path, exit_)
+                if len(events) >= max_steps:
+                    break
+    return events[:max_steps]

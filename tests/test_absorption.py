@@ -6,6 +6,7 @@ from hypothesis import given, settings
 
 from tuning import (
     ChainSpec,
+    NumericOverflowError,
     SingularSystemError,
     absorption_probabilities,
     analyze_chain,
@@ -142,6 +143,21 @@ class TestExpectedIncome:
         r2 = expected_income(doubled)
         # power-of-two scaling commutes with every float operation
         assert np.array_equal(r2, 2.0 * r1)
+
+
+class TestAnalyzeChain:
+    def test_income_overflow_is_not_a_singular_system(self, reference_spec):
+        spec = ChainSpec(
+            n_internal=2, p00=reference_spec.p00, p01=reference_spec.p01,
+            c=[1e308, 1e308], d0=reference_spec.d0, d1=reference_spec.d1,
+        )
+        with pytest.raises(NumericOverflowError):
+            analyze_chain(spec)
+
+    def test_singular_system_is_still_reported(self):
+        spec = ChainSpec(n_internal=1, p00=[[1.0]], p01=[[0.0, 0.0]], c=[1e308], d0=[-1.0], d1=[-1.0])
+        with pytest.raises(SingularSystemError):
+            analyze_chain(spec)
 
 
 class TestNeumannCrossCheck:

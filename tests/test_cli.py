@@ -284,6 +284,30 @@ class TestSimulateCommand:
         assert doc["total_income"] == stats.total_income
         assert doc["std_error"] == stats.std_error
 
+    @pytest.mark.parametrize("command", [("simulate", "--degenerate", "3", "3"), ("analyze",), ("solve",)])
+    def test_income_overflow_exits_three(self, capsys, tmp_path, reference_model_file, command):
+        doc = json.loads(reference_model_file.read_text())
+        doc["c"] = [1e308, 1e308]
+        path = write_json(tmp_path / "huge.json", doc)
+        status, out = run_cli(capsys, command[0], str(path), *command[1:])
+        assert status == 3
+        assert json.loads(out)["error"]["code"] == "OVERFLOW"
+
+    @pytest.mark.parametrize("command", [("validate",), ("simulate", "--degenerate", "3", "3")])
+    def test_string_model_entry_exits_one(self, capsys, tmp_path, reference_model_file, command):
+        doc = json.loads(reference_model_file.read_text())
+        doc["c"] = ["1.0", 2.0]
+        path = write_json(tmp_path / "strings.json", doc)
+        status, out = run_cli(capsys, command[0], str(path), *command[1:])
+        assert status == 1
+        assert [e["code"] for e in json.loads(out)["errors"]] == ["NOT_NUMERIC"]
+
+    def test_string_strategy_entry_exits_one(self, capsys, tmp_path, reference_model_file):
+        strategy = write_json(tmp_path / "strings.json", {"alpha0": ["0", "1"], "alpha1": [0.5, 0.5]})
+        status, out = run_cli(capsys, "simulate", str(reference_model_file), "--strategy", str(strategy))
+        assert status == 1
+        assert [e["code"] for e in json.loads(out)["errors"]] == ["NOT_NUMERIC"]
+
     def test_cycle_limit_exits_three(self, capsys, tmp_path):
         path = write_json(
             tmp_path / "trap.json",
@@ -487,3 +511,16 @@ class TestSubprocessEntryPoint:
         second = subprocess.run(argv, capture_output=True, env=env)
         assert first.returncode == 0
         assert first.stdout == second.stdout
+
+    def test_overflow_exits_three_with_warnings_as_errors(self, tmp_path, reference_model_file):
+        doc = json.loads(reference_model_file.read_text())
+        doc["c"] = [1e308, 1e308]
+        path = write_json(tmp_path / "huge.json", doc)
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        argv = [sys.executable, "-W", "error", "-m", "tuning", "simulate", str(path), "--degenerate", "3", "3"]
+        proc = subprocess.run(argv, capture_output=True, env=env)
+        assert proc.returncode == 3
+        assert json.loads(proc.stdout)["error"]["code"] == "OVERFLOW"
+        assert proc.stderr == b""

@@ -116,6 +116,24 @@ class TestValidateChain:
         assert spec.n_internal is count
         assert codes(validate_chain(spec)) == ["BAD_COUNT"]
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("c", ["1.0", 2.0]), ("d0", [True, False]), ("p01", [[0.3, None], [0.1, 0.4]])],
+    )
+    def test_non_numeric_entries_are_rejected_not_parsed(self, reference_spec, field, value):
+        doc = chain_spec_to_dict(reference_spec)
+        doc[field] = value
+        report = validate_chain(chain_spec_from_dict(doc))
+        assert codes(report) == ["NOT_NUMERIC"]
+        assert report.errors[0].where == field
+
+    def test_integer_entries_load_as_float(self, reference_spec):
+        doc = chain_spec_to_dict(reference_spec)
+        doc["c"] = [1, 2]
+        spec = chain_spec_from_dict(doc)
+        assert spec.c.dtype == np.float64
+        assert validate_chain(spec).ok
+
     def test_numpy_integer_count_is_accepted(self, reference_spec):
         doc = chain_spec_to_dict(reference_spec)
         doc["n_internal"] = np.int64(2)
@@ -159,6 +177,11 @@ class TestValidateStrategy:
     def test_not_normalized(self):
         report = validate_strategy(Strategy([0.6, 0.6], [0.5, 0.5]), 2)
         assert codes(report) == ["NOT_NORMALIZED"]
+        assert report.errors[0].where == "alpha0"
+
+    def test_non_numeric_entries_are_rejected_not_parsed(self):
+        report = validate_strategy(strategy_from_dict({"alpha0": ["0", "1"], "alpha1": [0.5, 0.5]}), 2)
+        assert codes(report) == ["NOT_NUMERIC"]
         assert report.errors[0].where == "alpha0"
 
     def test_wrong_length(self):
