@@ -1,5 +1,9 @@
 """Command line front end.
 
+Each subcommand registers a handler with ``set_defaults``; ``main`` loads and
+validates the model once and calls it, and ``_emit`` writes the JSON document
+or CSV text the handler returns.
+
 Exit statuses: 0 success, 1 validation errors (a report document is still
 emitted), 2 usage errors, 3 numeric failures. Failure documents carry a
 machine-readable code. All numbers are serialized through repr, which
@@ -13,17 +17,17 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict
 
 from .absorption import POSITIVITY_EPS, analyze_chain, check_positivity
 from .errors import TuningError
 from .model import (
     ChainSpec,
     Strategy,
-    chain_spec_from_dict,
     degenerate_strategy,
     dump_chain_spec,
-    strategy_from_dict,
+    load_chain_spec,
+    load_strategy,
     validate_chain,
     validate_strategy,
 )
@@ -36,44 +40,151 @@ EXIT_INVALID = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
-DEFAULT_CYCLES = 10_000
-DEFAULT_MAX_STEPS = 200
 SEED_ENV_VAR = "TUNING_SEED"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation needs, already resolved from argv and env."""
-
-    command: str
-    model_path: str
-    strategy_path: str | None = None
-    degenerate: tuple[int, int] | None = None
-    direction: str = "maximize"
-    route: str = "embedded"
-    which_table: str = "c"
-    cycles: int = DEFAULT_CYCLES
-    replications: int = 1
-    samples: int = 0
-    seed: int = 0
-    segment_limit: int = DEFAULT_SEGMENT_LIMIT
-    positivity_epsilon: float = POSITIVITY_EPS
-    max_steps: int = DEFAULT_MAX_STEPS
-    output_path: str | None = None
-    csv_path: str | None = None
-    echo_model_path: str | None = None
-
-
 class _Invalid(Exception):
-    """Input document failed validation; carries the report to emit."""
+    """Input document failed validation; ``args[0]`` is the report to emit."""
 
-    def __init__(self, doc: dict):
-        super().__init__(doc)
-        self.doc = doc
+
+def _error_doc(code: str, message: object) -> dict:
+    return {"error": {"code": code, "message": str(message)}}
+
+
+def _emit(result: dict | str, path: str | None) -> None:
+    """Write a JSON document or CSV text to ``path``, or to stdout."""
+    text = result if isinstance(result, str) else json.dumps(result, indent=2) + "\n"
+    if path is None:
+        print(text, end="")
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument errors also print a USAGE document, as every other failure does."""
+
+    def error(self, message: str):
+        _emit(_error_doc("USAGE", message), None)
+        super().error(message)
+
+
+def _read(load, path: str, kind: str):
+    """``load(path)``, with a malformed file reported as BAD_FILE."""
+    try:
+        return load(path)
+    except json.JSONDecodeError as exc:
+        message = f"{kind} file is not valid JSON: {exc}"
+    except ValueError as exc:
+        message = str(exc)
+    error = {"code": "BAD_FILE", "message": message, "where": None}
+    raise _Invalid({"valid": False, "errors": [error], "warnings": []})
+
+
+def _load_model(path: str) -> ChainSpec:
+    return _read(load_chain_spec, path, "model")
+
+
+def _load_strategy(args: argparse.Namespace, spec: ChainSpec) -> Strategy:
+    if args.degenerate is not None:
+        # out-of-range labels are a usage error, handled by the caller
+        return degenerate_strategy(*args.degenerate, spec.n_internal)
+    strategy = _read(load_strategy, args.strategy, "strategy")
+    report = validate_strategy(strategy, spec.n_internal)
+    if not report.ok:
+        raise _Invalid(report.to_dict())
+    return strategy
+
+
+def _resolve_seed(value: int | None) -> int:
+    if value is not None:
+        return value
+    raw = os.environ.get(SEED_ENV_VAR, "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
+
+
+def _csv_text(header: list, rows: list[list]) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def _validate(args, spec, report) -> dict:
+    return report.to_dict()
+
+
+def _analyze(args, spec, report) -> dict:
+    analysis = analyze_chain(spec)
+    positivity = check_positivity(analysis, args.positivity_epsilon)
+    doc = {
+        "b": analysis.b.tolist(),
+        "r": analysis.r.tolist(),
+        "positivity_ok": positivity.ok,
+    }
+    if not positivity.ok:
+        doc["positivity"] = [v.to_dict() for v in positivity.errors]
+    if args.csv:
+        rows = [
+            [label, analysis.b[i, 0], analysis.b[i, 1], analysis.r[i]]
+            for i, label in enumerate(spec.internal_labels())
+        ]
+        _emit(_csv_text(["state", "b0", "b1", "r"], rows), args.csv)
+    return doc
+
+
+def _indicator(args, spec, report) -> dict:
+    strategy = _load_strategy(args, spec)
+    value = indicator(strategy, spec, analyze_chain(spec), args.route)
+    return {"route": args.route, "value": value}
+
+
+def _table(args, spec, report) -> str:
+    coeffs = cost_coefficients(spec, analyze_chain(spec))
+    table = getattr(coeffs, f"{args.which}_table")
+    labels = list(spec.internal_labels())
+    rows = [[m0] + table[i].tolist() for i, m0 in enumerate(labels)]
+    return _csv_text(["m0\\m1"] + labels, rows)
+
+
+def _solve(args, spec, report) -> dict:
+    seed = _resolve_seed(args.seed)
+    control = solve_tuning(spec, {"max": "maximize", "min": "minimize"}[args.direction])
+    doc = {
+        "direction": control.direction,
+        "m0_star": control.m0_star,
+        "m1_star": control.m1_star,
+        "value": control.value,
+    }
+    if args.refute_samples > 0:
+        rep = refute_with_random_strategies(spec, control, args.refute_samples, seed)
+        doc["refutation"] = asdict(rep)
+    return doc
+
+
+def _simulate(args, spec, report) -> dict:
+    seed = _resolve_seed(args.seed)
+    strategy = _load_strategy(args, spec)
+    stats = simulate_replicated(
+        spec, strategy, args.cycles, seed, args.replications, segment_limit=args.segment_limit
+    )
+    return {**stats.to_dict(), "seed": seed, "replications": args.replications}
+
+
+def _trajectory(args, spec, report) -> str:
+    seed = _resolve_seed(args.seed)
+    strategy = _load_strategy(args, spec)
+    events = sample_trajectory(spec, strategy, args.max_steps, seed)
+    rows = [[e.step, e.state, e.event_kind, e.income_delta] for e in events]
+    return _csv_text(["step", "state", "event_kind", "income_delta"], rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tuning",
         description=(
             "Optimal intervention control of an absorbing chain: analytic "
@@ -82,12 +193,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def command(name: str, handler, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
         p.add_argument("model", help="path to a model JSON file")
         p.add_argument("-o", "--output", default=None,
                        help="write the result document here instead of stdout")
         p.add_argument("--echo-model", default=None, metavar="PATH",
                        help="also write the normalized model JSON that was used")
+        return p
 
     def strategy_source(p: argparse.ArgumentParser) -> None:
         group = p.add_mutually_exclusive_group(required=True)
@@ -101,283 +215,68 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", default=None, type=int,
                        help=f"RNG seed (default: ${SEED_ENV_VAR} if set, else 0)")
 
-    p = sub.add_parser("validate", help="check a model file and report violations")
-    common(p)
+    command("validate", _validate, "check a model file and report violations")
 
-    p = sub.add_parser("analyze", help="absorption probabilities and per-segment income")
-    common(p)
+    p = command("analyze", _analyze, "absorption probabilities and per-segment income")
     p.add_argument("--csv", default=None, metavar="PATH",
                    help="also write a per-state CSV table here")
     p.add_argument("--positivity-epsilon", default=POSITIVITY_EPS, type=float,
                    help="threshold for the advisory strict-positivity check")
 
-    p = sub.add_parser("indicator", help="long-run average income of one strategy")
-    common(p)
+    p = command("indicator", _indicator, "long-run average income of one strategy")
     strategy_source(p)
     p.add_argument("--route", default="embedded", choices=ROUTES,
                    help="evaluation route (default: embedded)")
 
-    p = sub.add_parser("table", help="deterministic-policy tables as CSV")
-    common(p)
+    p = command("table", _table, "deterministic-policy tables as CSV")
     p.add_argument("--which", default="c", choices=("c", "a", "b"),
                    help="which table to emit (default: c, the value table)")
 
-    p = sub.add_parser("solve", help="best deterministic policy")
-    common(p)
+    p = command("solve", _solve, "best deterministic policy")
     p.add_argument("--direction", default="max", choices=("max", "min"))
     p.add_argument("--refute-samples", default=0, type=int, metavar="K",
                    help="also challenge the optimum with K random strategies")
     seed_option(p)
 
-    p = sub.add_parser("simulate", help="Monte Carlo estimate of the long-run income")
-    common(p)
+    p = command("simulate", _simulate, "Monte Carlo estimate of the long-run income")
     strategy_source(p)
-    p.add_argument("--cycles", default=DEFAULT_CYCLES, type=int)
+    p.add_argument("--cycles", default=10_000, type=int)
     p.add_argument("--replications", default=1, type=int)
     p.add_argument("--segment-limit", default=DEFAULT_SEGMENT_LIMIT, type=int,
                    help="abort if one free-evolution segment exceeds this many steps")
     seed_option(p)
 
-    p = sub.add_parser("trajectory", help="sample one path and emit it as CSV")
-    common(p)
+    p = command("trajectory", _trajectory, "sample one path and emit it as CSV")
     strategy_source(p)
-    p.add_argument("--max-steps", default=DEFAULT_MAX_STEPS, type=int)
+    p.add_argument("--max-steps", default=200, type=int)
     seed_option(p)
 
     return parser
 
 
-def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
-
-
-def parse_config(argv: list[str] | None = None) -> RunConfig:
-    args = build_parser().parse_args(argv)
-    degenerate = None
-    if getattr(args, "degenerate", None) is not None:
-        degenerate = (args.degenerate[0], args.degenerate[1])
-    return RunConfig(
-        command=args.command,
-        model_path=args.model,
-        strategy_path=getattr(args, "strategy", None),
-        degenerate=degenerate,
-        direction={"max": "maximize", "min": "minimize"}[getattr(args, "direction", "max")],
-        route=getattr(args, "route", "embedded"),
-        which_table=getattr(args, "which", "c"),
-        cycles=getattr(args, "cycles", DEFAULT_CYCLES),
-        replications=getattr(args, "replications", 1),
-        samples=getattr(args, "refute_samples", 0),
-        seed=_resolve_seed(getattr(args, "seed", None)),
-        segment_limit=getattr(args, "segment_limit", DEFAULT_SEGMENT_LIMIT),
-        positivity_epsilon=getattr(args, "positivity_epsilon", POSITIVITY_EPS),
-        max_steps=getattr(args, "max_steps", DEFAULT_MAX_STEPS),
-        output_path=args.output,
-        csv_path=getattr(args, "csv", None),
-        echo_model_path=args.echo_model,
-    )
-
-
-def _write_text(text: str, path: str | None) -> None:
-    if path is None:
-        print(text, end="")
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
-def _emit_json(config: RunConfig, doc: dict) -> None:
-    _write_text(json.dumps(doc, indent=2) + "\n", config.output_path)
-
-
-def _report_doc(code: str, message: str) -> dict:
-    return {
-        "valid": False,
-        "errors": [{"code": code, "message": message, "where": None}],
-        "warnings": [],
-    }
-
-
-def _load_model(path: str) -> ChainSpec:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise _Invalid(_report_doc("BAD_FILE", f"model file is not valid JSON: {exc}")) from exc
-    try:
-        return chain_spec_from_dict(data)
-    except ValueError as exc:
-        raise _Invalid(_report_doc("BAD_FILE", str(exc))) from exc
-
-
-def _load_strategy(config: RunConfig, spec: ChainSpec) -> Strategy:
-    if config.degenerate is not None:
-        m0, m1 = config.degenerate
-        # out-of-range labels are a usage error, handled by the caller
-        return degenerate_strategy(m0, m1, spec.n_internal)
-    try:
-        with open(config.strategy_path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        strategy = strategy_from_dict(data)
-    except json.JSONDecodeError as exc:
-        raise _Invalid(_report_doc("BAD_FILE", f"strategy file is not valid JSON: {exc}")) from exc
-    except ValueError as exc:
-        raise _Invalid(_report_doc("BAD_FILE", str(exc))) from exc
-    report = validate_strategy(strategy, spec.n_internal)
-    if not report.ok:
-        raise _Invalid(report.to_dict())
-    return strategy
-
-
-def _csv_text(header: list, rows: list[list]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return out.getvalue()
-
-
-def _run_command(config: RunConfig) -> int:
-    spec = _load_model(config.model_path)
-    report = validate_chain(spec)
-
-    if config.command == "validate":
-        _emit_json(config, report.to_dict())
-        if not report.ok:
-            return EXIT_INVALID
-        if config.echo_model_path:
-            dump_chain_spec(spec, config.echo_model_path)
-        return EXIT_OK
-
-    if not report.ok:
-        _emit_json(config, report.to_dict())
-        return EXIT_INVALID
-    if config.echo_model_path:
-        dump_chain_spec(spec, config.echo_model_path)
-
-    if config.command == "analyze":
-        analysis = analyze_chain(spec)
-        positivity = check_positivity(analysis, config.positivity_epsilon)
-        doc = {
-            "b": analysis.b.tolist(),
-            "r": analysis.r.tolist(),
-            "positivity_ok": positivity.ok,
-        }
-        if not positivity.ok:
-            doc["positivity"] = [v.to_dict() for v in positivity.errors]
-        if config.csv_path:
-            rows = [
-                [label, analysis.b[i, 0], analysis.b[i, 1], analysis.r[i]]
-                for i, label in enumerate(spec.internal_labels())
-            ]
-            _write_text(_csv_text(["state", "b0", "b1", "r"], rows), config.csv_path)
-        _emit_json(config, doc)
-        return EXIT_OK
-
-    if config.command == "indicator":
-        strategy = _load_strategy(config, spec)
-        analysis = analyze_chain(spec)
-        value = indicator(strategy, spec, analysis, config.route)
-        _emit_json(config, {"route": config.route, "value": value})
-        return EXIT_OK
-
-    if config.command == "table":
-        analysis = analyze_chain(spec)
-        coeffs = cost_coefficients(spec, analysis)
-        table = {
-            "c": coeffs.c_table,
-            "a": coeffs.a_table,
-            "b": coeffs.b_table,
-        }[config.which_table]
-        labels = list(spec.internal_labels())
-        rows = [[m0] + table[i].tolist() for i, m0 in enumerate(labels)]
-        _write_text(_csv_text(["m0\\m1"] + labels, rows), config.output_path)
-        return EXIT_OK
-
-    if config.command == "solve":
-        control = solve_tuning(spec, config.direction)
-        doc = {
-            "direction": control.direction,
-            "m0_star": control.m0_star,
-            "m1_star": control.m1_star,
-            "value": control.value,
-        }
-        if config.samples > 0:
-            rep = refute_with_random_strategies(spec, control, config.samples, config.seed)
-            doc["refutation"] = {
-                "samples": rep.samples,
-                "seed": rep.seed,
-                "tolerance": rep.tolerance,
-                "best_observed": rep.best_observed,
-                "gap": rep.gap,
-                "violations": rep.violations,
-            }
-        _emit_json(config, doc)
-        return EXIT_OK
-
-    if config.command == "simulate":
-        strategy = _load_strategy(config, spec)
-        stats = simulate_replicated(
-            spec,
-            strategy,
-            config.cycles,
-            config.seed,
-            config.replications,
-            segment_limit=config.segment_limit,
-        )
-        doc = stats.to_dict()
-        doc["seed"] = config.seed
-        doc["replications"] = config.replications
-        _emit_json(config, doc)
-        return EXIT_OK
-
-    if config.command == "trajectory":
-        strategy = _load_strategy(config, spec)
-        events = sample_trajectory(spec, strategy, config.max_steps, config.seed)
-        rows = [[e.step, e.state, e.event_kind, e.income_delta] for e in events]
-        _write_text(
-            _csv_text(["step", "state", "event_kind", "income_delta"], rows),
-            config.output_path,
-        )
-        return EXIT_OK
-
-    raise ValueError(f"unknown command {config.command!r}")
-
-
-def run(config: RunConfig) -> int:
-    """Execute one resolved invocation and return its exit status."""
-    try:
-        return _run_command(config)
-    except _Invalid as exc:
-        _emit_json(config, exc.doc)
-        return EXIT_INVALID
-    except TuningError as exc:
-        _emit_json(config, {"error": {"code": exc.code, "message": str(exc)}})
-        return EXIT_NUMERIC
-    except ValueError as exc:
-        _emit_json(config, {"error": {"code": "USAGE", "message": str(exc)}})
-        return EXIT_USAGE
-    except OSError as exc:
-        _emit_json(config, {"error": {"code": "IO_ERROR", "message": str(exc)}})
-        return EXIT_USAGE
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
-        config = parse_config(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code is None else int(exc.code)
+    try:
+        spec = _load_model(args.model)
+        report = validate_chain(spec)
+        if not report.ok:
+            raise _Invalid(report.to_dict())
+        if args.echo_model:
+            dump_chain_spec(spec, args.echo_model)
+        result, status = args.handler(args, spec, report), EXIT_OK
+    except _Invalid as exc:
+        result, status = exc.args[0], EXIT_INVALID
+    except TuningError as exc:
+        result, status = _error_doc(exc.code, exc), EXIT_NUMERIC
     except ValueError as exc:
-        print(json.dumps({"error": {"code": "USAGE", "message": str(exc)}}, indent=2))
-        return EXIT_USAGE
-    return run(config)
+        result, status = _error_doc("USAGE", exc), EXIT_USAGE
+    except OSError as exc:
+        result, status = _error_doc("IO_ERROR", exc), EXIT_USAGE
+    _emit(result, args.output)
+    return status
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ set is described by a :class:`Strategy`, not by the transition matrix.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,8 +30,16 @@ def _frozen(values) -> np.ndarray:
     Integer and float input becomes float. Any other dtype (strings,
     booleans, objects) is kept as given for the validators to reject as
     NOT_NUMERIC; converting with dtype=float would silently parse "0.5".
+    A list holding a bool, which numpy would upcast to 0/1, is kept as an
+    object array; array input is trusted to its dtype.
     """
     arr = np.array(values)
+    if arr.dtype.kind in "iuf" and isinstance(values, (list, tuple)):
+        scalars = values  # a regular nested list, arr.ndim deep
+        for _ in range(arr.ndim - 1):
+            scalars = itertools.chain.from_iterable(scalars)
+        if bool in set(map(type, scalars)):
+            arr = np.array(values, dtype=object)
     if arr.dtype.kind in "iuf":
         arr = arr.astype(float, copy=False)
     arr.flags.writeable = False

@@ -293,17 +293,19 @@ class TestSimulateCommand:
         assert status == 3
         assert json.loads(out)["error"]["code"] == "OVERFLOW"
 
+    @pytest.mark.parametrize("entry", [["1.0", 2.0], [True, 2.0]], ids=["string", "bool"])
     @pytest.mark.parametrize("command", [("validate",), ("simulate", "--degenerate", "3", "3")])
-    def test_string_model_entry_exits_one(self, capsys, tmp_path, reference_model_file, command):
+    def test_string_model_entry_exits_one(self, capsys, tmp_path, reference_model_file, command, entry):
         doc = json.loads(reference_model_file.read_text())
-        doc["c"] = ["1.0", 2.0]
+        doc["c"] = entry
         path = write_json(tmp_path / "strings.json", doc)
         status, out = run_cli(capsys, command[0], str(path), *command[1:])
         assert status == 1
         assert [e["code"] for e in json.loads(out)["errors"]] == ["NOT_NUMERIC"]
 
-    def test_string_strategy_entry_exits_one(self, capsys, tmp_path, reference_model_file):
-        strategy = write_json(tmp_path / "strings.json", {"alpha0": ["0", "1"], "alpha1": [0.5, 0.5]})
+    @pytest.mark.parametrize("entry", [["0", "1"], [True, 0.0]], ids=["string", "bool"])
+    def test_string_strategy_entry_exits_one(self, capsys, tmp_path, reference_model_file, entry):
+        strategy = write_json(tmp_path / "strings.json", {"alpha0": entry, "alpha1": [0.5, 0.5]})
         status, out = run_cli(capsys, "simulate", str(reference_model_file), "--strategy", str(strategy))
         assert status == 1
         assert [e["code"] for e in json.loads(out)["errors"]] == ["NOT_NUMERIC"]
@@ -386,6 +388,20 @@ class TestSeedResolution:
         assert status == 2
         assert json.loads(out)["error"]["code"] == "USAGE"
 
+    @pytest.mark.parametrize(
+        "command", [("validate",), ("analyze",), ("table",), ("indicator", "--degenerate", "3", "3")]
+    )
+    def test_bad_env_seed_is_ignored_without_seed_option(
+        self, capsys, reference_model_file, monkeypatch, command
+    ):
+        argv = (command[0], str(reference_model_file), *command[1:])
+        monkeypatch.delenv("TUNING_SEED", raising=False)
+        status, clean = run_cli(capsys, *argv)
+        monkeypatch.setenv("TUNING_SEED", "x")
+        status_with_env, with_env = run_cli(capsys, *argv)
+        assert status == status_with_env == 0
+        assert with_env == clean
+
 
 class TestNumericFailureExits:
     def test_singular_system(self, capsys, tmp_path):
@@ -439,12 +455,21 @@ class TestNumericFailureExits:
         assert json.loads(out)["error"]["code"] == "DEGENERATE_CHAIN"
 
 
+def usage_message(out: str) -> str:
+    """The message of a USAGE document, asserting that ``out`` is one."""
+    error = json.loads(out)["error"]
+    assert error["code"] == "USAGE"
+    return error["message"]
+
+
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
         assert main(["conquer"]) == 2
+        assert "conquer" in usage_message(capsys.readouterr().out)
 
     def test_missing_strategy_source(self, capsys, reference_model_file):
         assert main(["indicator", str(reference_model_file)]) == 2
+        assert "--strategy" in usage_message(capsys.readouterr().out)
 
     def test_both_strategy_sources(self, capsys, reference_model_file, uniform_strategy_file):
         assert (
@@ -461,6 +486,18 @@ class TestUsageErrors:
             )
             == 2
         )
+        assert "not allowed" in usage_message(capsys.readouterr().out)
+
+    def test_non_integer_cycles_is_usage_error(self, capsys, reference_model_file):
+        status = main(["simulate", str(reference_model_file), "--degenerate", "2", "2", "--cycles", "abc"])
+        assert status == 2
+        captured = capsys.readouterr()
+        assert "--cycles" in usage_message(captured.out)
+        assert captured.err.startswith("usage: tuning simulate")
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: tuning")
 
     def test_zero_cycles_is_usage_error(self, capsys, reference_model_file):
         status, out = run_cli(
@@ -486,6 +523,39 @@ class TestOutputFile:
         assert status == 0
         assert out == ""
         assert json.loads(out_path.read_text())["m0_star"] == 3
+
+    @pytest.mark.parametrize(
+        "model, command, seed_env, expected_status",
+        [
+            (None, ("validate",), None, 0),
+            (None, ("analyze",), None, 0),
+            (None, ("indicator", "--degenerate", "3", "3"), None, 0),
+            (None, ("table", "--which", "a"), None, 0),
+            (None, ("solve", "--refute-samples", "50", "--seed", "2"), None, 0),
+            (None, ("simulate", "--degenerate", "3", "3", "--cycles", "300", "--seed", "5"), None, 0),
+            (None, ("trajectory", "--degenerate", "3", "3", "--max-steps", "20", "--seed", "5"), None, 0),
+            ({"n_internal": 1, "p00": [[0.5]], "p01": [[0.2, 0.2]], "c": [1.0], "d0": [-1.0], "d1": [-1.0]},
+             ("validate",), None, 1),
+            ({"n_internal": 1, "p00": [[1.0]], "p01": [[5e-301, 5e-301]], "c": [1.0], "d0": [-1.0], "d1": [-1.0]},
+             ("analyze",), None, 3),
+            (None, ("simulate", "--degenerate", "3", "3"), "x", 2),
+        ],
+        ids=["validate", "analyze", "indicator", "table", "solve", "simulate", "trajectory",
+             "invalid-report", "numeric-error", "bad-env-seed"],
+    )
+    def test_output_file_holds_exactly_what_stdout_would(
+        self, capsys, monkeypatch, tmp_path, reference_model_file, model, command, seed_env, expected_status
+    ):
+        model_file = reference_model_file if model is None else write_json(tmp_path / "model.json", model)
+        if seed_env is not None:
+            monkeypatch.setenv("TUNING_SEED", seed_env)
+        argv = (command[0], str(model_file), *command[1:])
+        status, stdout = run_cli(capsys, *argv)
+        out_path = tmp_path / "result"
+        status_with_file, out = run_cli(capsys, *argv, "-o", str(out_path))
+        assert status == status_with_file == expected_status
+        assert out == ""
+        assert out_path.read_text(encoding="utf-8") == stdout
 
 
 class TestSubprocessEntryPoint:

@@ -118,7 +118,12 @@ class TestValidateChain:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("c", ["1.0", 2.0]), ("d0", [True, False]), ("p01", [[0.3, None], [0.1, 0.4]])],
+        [
+            ("c", ["1.0", 2.0]),
+            ("d0", [True, False]),
+            ("p01", [[0.3, None], [0.1, 0.4]]),
+            ("p00", [[0.2, 0.3], [True, 0.1]]),
+        ],
     )
     def test_non_numeric_entries_are_rejected_not_parsed(self, reference_spec, field, value):
         doc = chain_spec_to_dict(reference_spec)
