@@ -10,10 +10,8 @@ optimizes it, and verifies both against step-by-step simulation.
 
 from .absorption import (
     AbsorptionAnalysis,
-    absorption_probabilities,
     analyze_chain,
     check_positivity,
-    expected_income,
     fundamental_solve,
 )
 from .errors import (
@@ -33,7 +31,6 @@ from .model import (
     chain_spec_to_dict,
     degenerate_strategy,
     dump_chain_spec,
-    dump_strategy,
     load_chain_spec,
     load_strategy,
     strategy_from_dict,
@@ -56,9 +53,7 @@ from .simulator import (
 )
 from .stationary import (
     CostCoefficients,
-    EmbeddedChain,
     cost_coefficients,
-    embedded_chain,
     embedded_transition,
     indicator,
     stationary_distribution,
@@ -73,7 +68,6 @@ __all__ = [
     "CostCoefficients",
     "CycleLimitError",
     "DegenerateChainError",
-    "EmbeddedChain",
     "NumericOverflowError",
     "OptimalControl",
     "PositivityError",
@@ -85,7 +79,6 @@ __all__ = [
     "TuningError",
     "ValidationReport",
     "Violation",
-    "absorption_probabilities",
     "analyze_chain",
     "chain_spec_from_dict",
     "chain_spec_to_dict",
@@ -93,10 +86,7 @@ __all__ = [
     "cost_coefficients",
     "degenerate_strategy",
     "dump_chain_spec",
-    "dump_strategy",
-    "embedded_chain",
     "embedded_transition",
-    "expected_income",
     "fundamental_solve",
     "indicator",
     "load_chain_spec",

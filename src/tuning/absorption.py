@@ -43,11 +43,11 @@ class AbsorptionAnalysis:
             object.__setattr__(self, name, arr)
 
 
-def fundamental_solve(p00: np.ndarray, rhs: np.ndarray, *, residual_tol: float = RESIDUAL_TOL) -> np.ndarray:
+def fundamental_solve(p00: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve (I - P00) X = rhs by LU with partial pivoting.
 
     Each rhs column k is checked against its own bound: the solution must
-    satisfy max|(I - P00) X[:, k] - rhs[:, k]| <= residual_tol *
+    satisfy max|(I - P00) X[:, k] - rhs[:, k]| <= RESIDUAL_TOL *
     max(1, max|rhs[:, k]|), so stacking right-hand sides of different
     magnitudes into one solve loosens no column's check. Columns that miss
     their bound after the first solve get one step of iterative refinement.
@@ -68,7 +68,7 @@ def fundamental_solve(p00: np.ndarray, rhs: np.ndarray, *, residual_tol: float =
 
     cols = rhs.reshape(rhs.shape[0], -1)
     sol = x.reshape(cols.shape)
-    bound = residual_tol * np.maximum(1.0, np.max(np.abs(cols), axis=0))
+    bound = RESIDUAL_TOL * np.maximum(1.0, np.max(np.abs(cols), axis=0))
     miss = np.max(np.abs(a @ sol - cols), axis=0) > bound
     if miss.any():
         sol[:, miss] += np.linalg.solve(a, cols[:, miss] - a @ sol[:, miss])
@@ -80,16 +80,6 @@ def fundamental_solve(p00: np.ndarray, rhs: np.ndarray, *, residual_tol: float =
                 f"exceeds bound {bound[k]:.3e} after refinement"
             )
     return sol.reshape(x.shape)
-
-
-def absorption_probabilities(spec: ChainSpec) -> np.ndarray:
-    """Boundary-hit probabilities b, shape (n, 2); rows sum to 1."""
-    return fundamental_solve(spec.p00, spec.p01)
-
-
-def expected_income(spec: ChainSpec) -> np.ndarray:
-    """Expected income r collected over one free-evolution segment, shape (n,)."""
-    return fundamental_solve(spec.p00, spec.c)
 
 
 def analyze_chain(spec: ChainSpec) -> AbsorptionAnalysis:
@@ -112,20 +102,20 @@ def analyze_chain(spec: ChainSpec) -> AbsorptionAnalysis:
     return AbsorptionAnalysis(b=x[:, :2], r=x[:, 2])
 
 
-def check_positivity(analysis: AbsorptionAnalysis, epsilon: float = POSITIVITY_EPS) -> ValidationReport:
-    """Flag absorption probabilities that are not strictly positive.
+def check_positivity(analysis: AbsorptionAnalysis) -> ValidationReport:
+    """Flag absorption probabilities at or below POSITIVITY_EPS.
 
     Strict positivity of every b entry underpins the ratio representation
     of the long-run income and the degenerate-policy reduction. The check
     is advisory at analysis time and enforced before solving.
     """
     errors = []
-    for i, j in zip(*np.nonzero(analysis.b <= epsilon)):
+    for i, j in zip(*np.nonzero(analysis.b <= POSITIVITY_EPS)):
         errors.append(
             Violation(
                 "B_NOT_POSITIVE",
                 f"absorption probability from state {i + 2} to boundary {j} "
-                f"is {float(analysis.b[i, j])!r} (<= {epsilon!r})",
+                f"is {float(analysis.b[i, j])!r} (<= {POSITIVITY_EPS!r})",
                 int(i + 2),
             )
         )

@@ -19,7 +19,7 @@ import json
 import os
 from dataclasses import asdict
 
-from .absorption import POSITIVITY_EPS, analyze_chain, check_positivity
+from .absorption import analyze_chain, check_positivity
 from .errors import TuningError
 from .model import (
     ChainSpec,
@@ -120,7 +120,7 @@ def _validate(args, spec, report) -> dict:
 
 def _analyze(args, spec, report) -> dict:
     analysis = analyze_chain(spec)
-    positivity = check_positivity(analysis, args.positivity_epsilon)
+    positivity = check_positivity(analysis)
     doc = {
         "b": analysis.b.tolist(),
         "r": analysis.r.tolist(),
@@ -160,7 +160,7 @@ def _solve(args, spec, report) -> dict:
         "m1_star": control.m1_star,
         "value": control.value,
     }
-    if args.refute_samples > 0:
+    if args.refute_samples != 0:  # a negative count is refutation's to reject
         rep = refute_with_random_strategies(spec, control, args.refute_samples, seed)
         doc["refutation"] = asdict(rep)
     return doc
@@ -220,8 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("analyze", _analyze, "absorption probabilities and per-segment income")
     p.add_argument("--csv", default=None, metavar="PATH",
                    help="also write a per-state CSV table here")
-    p.add_argument("--positivity-epsilon", default=POSITIVITY_EPS, type=float,
-                   help="threshold for the advisory strict-positivity check")
 
     p = command("indicator", _indicator, "long-run average income of one strategy")
     strategy_source(p)
@@ -275,7 +273,12 @@ def main(argv: list[str] | None = None) -> int:
         result, status = _error_doc("USAGE", exc), EXIT_USAGE
     except OSError as exc:
         result, status = _error_doc("IO_ERROR", exc), EXIT_USAGE
-    _emit(result, args.output)
+    try:
+        _emit(result, args.output)
+    except OSError as exc:
+        # -o itself is unwritable, so this document can only go to stdout
+        _emit(_error_doc("IO_ERROR", exc), None)
+        return EXIT_USAGE
     return status
 
 

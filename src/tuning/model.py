@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -323,20 +323,18 @@ def chain_spec_to_dict(spec: ChainSpec) -> dict:
     }
 
 
-def chain_spec_from_dict(data: dict) -> ChainSpec:
+def _from_dict(cls, kind: str, data: dict):
+    """Build ``cls`` from the document's keys, taken in field order."""
     try:
-        return ChainSpec(
-            n_internal=data["n_internal"],
-            p00=data["p00"],
-            p01=data["p01"],
-            c=data["c"],
-            d0=data["d0"],
-            d1=data["d1"],
-        )
+        return cls(**{f.name: data[f.name] for f in fields(cls)})
     except KeyError as exc:
-        raise ValueError(f"model document is missing key {exc.args[0]!r}") from exc
+        raise ValueError(f"{kind} document is missing key {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"model document is malformed: {exc}") from exc
+        raise ValueError(f"{kind} document is malformed: {exc}") from exc
+
+
+def chain_spec_from_dict(data: dict) -> ChainSpec:
+    return _from_dict(ChainSpec, "model", data)
 
 
 def load_chain_spec(path: str | Path) -> ChainSpec:
@@ -354,19 +352,10 @@ def strategy_to_dict(strategy: Strategy) -> dict:
 
 
 def strategy_from_dict(data: dict) -> Strategy:
-    try:
-        return Strategy(alpha0=data["alpha0"], alpha1=data["alpha1"])
-    except KeyError as exc:
-        raise ValueError(f"strategy document is missing key {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"strategy document is malformed: {exc}") from exc
+    return _from_dict(Strategy, "strategy", data)
 
 
 def load_strategy(path: str | Path) -> Strategy:
     """Read a strategy from a JSON file; raises ValueError on schema problems."""
     with open(path, encoding="utf-8") as fh:
         return strategy_from_dict(json.load(fh))
-
-
-def dump_strategy(strategy: Strategy, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(strategy_to_dict(strategy), indent=2) + "\n", encoding="utf-8")

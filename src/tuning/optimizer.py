@@ -200,6 +200,8 @@ def refute_with_random_strategies(
     """
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if samples == 0:
         return RefutationReport(
             samples=0, seed=seed, tolerance=tolerance,

@@ -49,15 +49,6 @@ ROUTES = ("embedded", "ratio", "fractional")
 
 
 @dataclass(frozen=True, eq=False)
-class EmbeddedChain:
-    """Boundary-hit chain: 2x2 transitions, stationary law, cycle incomes."""
-
-    p_tilde: np.ndarray
-    pi: np.ndarray
-    rho: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class CostCoefficients:
     """Degenerate-policy tables a, b, and their ratio c, each (n, n)."""
 
@@ -110,16 +101,6 @@ def visit_income(strategy: Strategy, spec: ChainSpec, analysis: AbsorptionAnalys
             float(strategy.alpha0 @ (spec.d0 + analysis.r)),
             float(strategy.alpha1 @ (spec.d1 + analysis.r)),
         ]
-    )
-
-
-def embedded_chain(strategy: Strategy, spec: ChainSpec, analysis: AbsorptionAnalysis) -> EmbeddedChain:
-    """Bundle p_tilde, pi, and rho for one strategy."""
-    p_tilde = embedded_transition(strategy, analysis)
-    return EmbeddedChain(
-        p_tilde=p_tilde,
-        pi=stationary_distribution(p_tilde),
-        rho=visit_income(strategy, spec, analysis),
     )
 
 
@@ -181,8 +162,8 @@ def indicator(
     """
     _check_lengths(strategy, spec.n_internal)
     if route == "embedded":
-        chain = embedded_chain(strategy, spec, analysis)
-        return float(chain.pi @ chain.rho)
+        pi = stationary_distribution(embedded_transition(strategy, analysis))
+        return float(pi @ visit_income(strategy, spec, analysis))
     if route == "ratio":
         return float(_ratio_values(strategy.alpha0, strategy.alpha1, spec, analysis))
     if route == "fractional":

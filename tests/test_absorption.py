@@ -8,12 +8,11 @@ from tuning import (
     ChainSpec,
     NumericOverflowError,
     SingularSystemError,
-    absorption_probabilities,
     analyze_chain,
     check_positivity,
-    expected_income,
     fundamental_solve,
 )
+from tuning.absorption import POSITIVITY_EPS
 
 from conftest import REF_B, REF_FUNDAMENTAL, REF_R
 from oracles import exact_analysis, mc_absorption, neumann_fundamental, random_spec
@@ -72,7 +71,7 @@ class TestFundamentalSolve:
 
 class TestAbsorptionProbabilities:
     def test_reference_values(self, reference_spec):
-        got = absorption_probabilities(reference_spec)
+        got = analyze_chain(reference_spec).b
         expected = np.array(REF_B, dtype=float)
         assert np.max(np.abs(got - expected)) <= 1e-12
 
@@ -80,12 +79,12 @@ class TestAbsorptionProbabilities:
         spec = ChainSpec(
             n_internal=1, p00=[[0.0]], p01=[[0.25, 0.75]], c=[1.0], d0=[-1.0], d1=[-1.0]
         )
-        assert absorption_probabilities(spec).tolist() == [[0.25, 0.75]]
+        assert analyze_chain(spec).b.tolist() == [[0.25, 0.75]]
 
     @settings(max_examples=60)
     @given(spec=chain_specs())
     def test_rows_sum_to_one(self, spec):
-        b = absorption_probabilities(spec)
+        b = analyze_chain(spec).b
         assert np.max(np.abs(b.sum(axis=1) - 1.0)) <= 1e-10
 
     def test_matches_exact_rational_solution(self):
@@ -102,7 +101,7 @@ class TestAbsorptionProbabilities:
 
 class TestExpectedIncome:
     def test_reference_values(self, reference_spec):
-        got = expected_income(reference_spec)
+        got = analyze_chain(reference_spec).r
         expected = np.array(REF_R, dtype=float)
         assert np.max(np.abs(got - expected)) <= 1e-12
 
@@ -115,7 +114,7 @@ class TestExpectedIncome:
             d0=[-1.0, -1.0],
             d1=[-1.0, -1.0],
         )
-        assert expected_income(spec).tolist() == [4.0, -2.0]
+        assert analyze_chain(spec).r.tolist() == [4.0, -2.0]
 
     def test_zero_income_everywhere(self, reference_spec):
         spec = ChainSpec(
@@ -126,12 +125,12 @@ class TestExpectedIncome:
             d0=reference_spec.d0,
             d1=reference_spec.d1,
         )
-        assert expected_income(spec).tolist() == [0.0, 0.0]
+        assert analyze_chain(spec).r.tolist() == [0.0, 0.0]
 
     @settings(max_examples=40)
     @given(spec=chain_specs())
     def test_linear_in_c(self, spec):
-        r1 = expected_income(spec)
+        r1 = analyze_chain(spec).r
         doubled = ChainSpec(
             n_internal=spec.n_internal,
             p00=spec.p00,
@@ -140,7 +139,7 @@ class TestExpectedIncome:
             d0=spec.d0,
             d1=spec.d1,
         )
-        r2 = expected_income(doubled)
+        r2 = analyze_chain(doubled).r
         # power-of-two scaling commutes with every float operation
         assert np.array_equal(r2, 2.0 * r1)
 
@@ -196,8 +195,12 @@ class TestCheckPositivity:
         assert report.errors[0].code == "B_NOT_POSITIVE"
         assert report.errors[0].where == 2
 
-    def test_epsilon_widens_the_net(self, reference_spec):
-        report = check_positivity(analyze_chain(reference_spec), epsilon=0.4)
-        # only the 1/3 entry is at or below 0.4
-        assert len(report.errors) == 1
-        assert report.errors[0].where == 3
+    def test_entry_at_the_threshold_is_flagged(self):
+        # 1e-12 is exactly POSITIVITY_EPS: "at or below" flags it
+        spec = ChainSpec(
+            n_internal=1, p00=[[0.0]], p01=[[1e-12, 1 - 1e-12]], c=[1.0], d0=[-1.0], d1=[-1.0]
+        )
+        analysis = analyze_chain(spec)
+        assert analysis.b[0, 0] == POSITIVITY_EPS
+        report = check_positivity(analysis)
+        assert [(v.code, v.where) for v in report.errors] == [("B_NOT_POSITIVE", 2)]

@@ -499,6 +499,18 @@ class TestUsageErrors:
         assert main(["--help"]) == 0
         assert capsys.readouterr().out.startswith("usage: tuning")
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (("--refute-samples", "50", "--seed", "-4"), "seed must be >= 0, got -4"),
+            (("--refute-samples", "-5"), "samples must be >= 0, got -5"),
+        ],
+        ids=["negative-seed", "negative-samples"],
+    )
+    def test_negative_refutation_input_is_usage_error(self, capsys, reference_model_file, options, message):
+        assert main(["solve", str(reference_model_file), *options]) == 2
+        assert usage_message(capsys.readouterr().out) == message
+
     def test_zero_cycles_is_usage_error(self, capsys, reference_model_file):
         status, out = run_cli(
             capsys,
@@ -556,6 +568,18 @@ class TestOutputFile:
         assert status == status_with_file == expected_status
         assert out == ""
         assert out_path.read_text(encoding="utf-8") == stdout
+
+    @pytest.mark.parametrize(
+        "command", [("validate",), ("simulate", "--degenerate", "3", "3", "--cycles", "300")]
+    )
+    def test_unwritable_output_is_io_error_on_stdout(self, capsys, tmp_path, reference_model_file, command):
+        out_path = tmp_path / "nodir" / "result.json"
+        status, out = run_cli(capsys, command[0], str(reference_model_file), *command[1:], "-o", str(out_path))
+        assert status == 2
+        error = json.loads(out)["error"]
+        assert error["code"] == "IO_ERROR"
+        assert str(out_path) in error["message"]
+        assert not out_path.parent.exists()
 
 
 class TestSubprocessEntryPoint:

@@ -229,6 +229,11 @@ class TestRefutation:
         with pytest.raises(ValueError, match="samples"):
             refute_with_random_strategies(reference_spec, control, -1, seed=0)
 
+    def test_negative_seed_rejected(self, reference_spec):
+        control = solve_tuning(reference_spec)
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -4$"):
+            refute_with_random_strategies(reference_spec, control, 50, seed=-4)
+
     def test_reuses_the_analysis_of_the_same_spec(self, reference_spec, monkeypatch):
         calls = []
         analyze = tuning.optimizer.analyze_chain
