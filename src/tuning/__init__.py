@@ -28,13 +28,11 @@ from .model import (
     ValidationReport,
     Violation,
     chain_spec_from_dict,
-    chain_spec_to_dict,
     degenerate_strategy,
-    dump_chain_spec,
     load_chain_spec,
     load_strategy,
     strategy_from_dict,
-    strategy_to_dict,
+    to_doc,
     validate_chain,
     validate_strategy,
 )
@@ -81,11 +79,9 @@ __all__ = [
     "Violation",
     "analyze_chain",
     "chain_spec_from_dict",
-    "chain_spec_to_dict",
     "check_positivity",
     "cost_coefficients",
     "degenerate_strategy",
-    "dump_chain_spec",
     "embedded_transition",
     "fundamental_solve",
     "indicator",
@@ -98,7 +94,7 @@ __all__ = [
     "solve_tuning",
     "stationary_distribution",
     "strategy_from_dict",
-    "strategy_to_dict",
+    "to_doc",
     "validate_chain",
     "validate_strategy",
     "visit_income",

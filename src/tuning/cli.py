@@ -5,9 +5,10 @@ validates the model once and calls it, and ``_emit`` writes the JSON document
 or CSV text the handler returns.
 
 Exit statuses: 0 success, 1 validation errors (a report document is still
-emitted), 2 usage errors, 3 numeric failures. Failure documents carry a
-machine-readable code. All numbers are serialized through repr, which
-keeps 17 significant digits, so documents round-trip exactly.
+emitted), 2 usage errors and failed allocations, 3 numeric failures.
+Failure documents carry a machine-readable code. All numbers are
+serialized through repr, which keeps 17 significant digits, so documents
+round-trip exactly.
 """
 
 from __future__ import annotations
@@ -17,17 +18,18 @@ import csv
 import io
 import json
 import os
-from dataclasses import asdict
 
 from .absorption import analyze_chain, check_positivity
 from .errors import TuningError
 from .model import (
     ChainSpec,
     Strategy,
+    ValidationReport,
+    Violation,
     degenerate_strategy,
-    dump_chain_spec,
     load_chain_spec,
     load_strategy,
+    to_doc,
     validate_chain,
     validate_strategy,
 )
@@ -44,7 +46,7 @@ SEED_ENV_VAR = "TUNING_SEED"
 
 
 class _Invalid(Exception):
-    """Input document failed validation; ``args[0]`` is the report to emit."""
+    """Input document failed validation; ``args[0]`` is the ValidationReport."""
 
 
 def _error_doc(code: str, message: object) -> dict:
@@ -77,8 +79,7 @@ def _read(load, path: str, kind: str):
         message = f"{kind} file is not valid JSON: {exc}"
     except ValueError as exc:
         message = str(exc)
-    error = {"code": "BAD_FILE", "message": message, "where": None}
-    raise _Invalid({"valid": False, "errors": [error], "warnings": []})
+    raise _Invalid(ValidationReport((Violation("BAD_FILE", message),), ()))
 
 
 def _load_model(path: str) -> ChainSpec:
@@ -92,7 +93,7 @@ def _load_strategy(args: argparse.Namespace, spec: ChainSpec) -> Strategy:
     strategy = _read(load_strategy, args.strategy, "strategy")
     report = validate_strategy(strategy, spec.n_internal)
     if not report.ok:
-        raise _Invalid(report.to_dict())
+        raise _Invalid(report)
     return strategy
 
 
@@ -121,13 +122,9 @@ def _validate(args, spec, report) -> dict:
 def _analyze(args, spec, report) -> dict:
     analysis = analyze_chain(spec)
     positivity = check_positivity(analysis)
-    doc = {
-        "b": analysis.b.tolist(),
-        "r": analysis.r.tolist(),
-        "positivity_ok": positivity.ok,
-    }
+    doc = {**to_doc(analysis), "positivity_ok": positivity.ok}
     if not positivity.ok:
-        doc["positivity"] = [v.to_dict() for v in positivity.errors]
+        doc["positivity"] = [to_doc(v) for v in positivity.errors]
     if args.csv:
         rows = [
             [label, analysis.b[i, 0], analysis.b[i, 1], analysis.r[i]]
@@ -162,7 +159,7 @@ def _solve(args, spec, report) -> dict:
     }
     if args.refute_samples != 0:  # a negative count is refutation's to reject
         rep = refute_with_random_strategies(spec, control, args.refute_samples, seed)
-        doc["refutation"] = asdict(rep)
+        doc["refutation"] = to_doc(rep)
     return doc
 
 
@@ -172,7 +169,7 @@ def _simulate(args, spec, report) -> dict:
     stats = simulate_replicated(
         spec, strategy, args.cycles, seed, args.replications, segment_limit=args.segment_limit
     )
-    return {**stats.to_dict(), "seed": seed, "replications": args.replications}
+    return {**to_doc(stats), "seed": seed, "replications": args.replications}
 
 
 def _trajectory(args, spec, report) -> str:
@@ -261,18 +258,20 @@ def main(argv: list[str] | None = None) -> int:
         spec = _load_model(args.model)
         report = validate_chain(spec)
         if not report.ok:
-            raise _Invalid(report.to_dict())
+            raise _Invalid(report)
         if args.echo_model:
-            dump_chain_spec(spec, args.echo_model)
+            _emit(to_doc(spec), args.echo_model)
         result, status = args.handler(args, spec, report), EXIT_OK
     except _Invalid as exc:
-        result, status = exc.args[0], EXIT_INVALID
+        result, status = exc.args[0].to_dict(), EXIT_INVALID
     except TuningError as exc:
         result, status = _error_doc(exc.code, exc), EXIT_NUMERIC
     except ValueError as exc:
         result, status = _error_doc("USAGE", exc), EXIT_USAGE
     except OSError as exc:
         result, status = _error_doc("IO_ERROR", exc), EXIT_USAGE
+    except MemoryError as exc:
+        result, status = _error_doc("OUT_OF_MEMORY", str(exc) or "out of memory"), EXIT_USAGE
     try:
         _emit(result, args.output)
     except OSError as exc:

@@ -46,6 +46,14 @@ def _frozen(values) -> np.ndarray:
     return arr
 
 
+def to_doc(obj) -> dict:
+    """A dataclass as a JSON-ready dict: its fields in declaration order,
+    numpy arrays as nested lists. Every dataclass the CLI emits goes
+    through this function."""
+    doc = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in doc.items()}
+
+
 @dataclass(frozen=True, eq=False)
 class ChainSpec:
     """Complete description of one controlled chain.
@@ -116,9 +124,6 @@ class Violation:
     message: str
     where: int | str | None = None
 
-    def to_dict(self) -> dict:
-        return {"code": self.code, "message": self.message, "where": self.where}
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -134,8 +139,8 @@ class ValidationReport:
     def to_dict(self) -> dict:
         return {
             "valid": self.ok,
-            "errors": [v.to_dict() for v in self.errors],
-            "warnings": [v.to_dict() for v in self.warnings],
+            "errors": [to_doc(v) for v in self.errors],
+            "warnings": [to_doc(v) for v in self.warnings],
         }
 
 
@@ -309,19 +314,8 @@ def degenerate_strategy(m0: int, m1: int, n_internal: int) -> Strategy:
 
 
 # ---------------------------------------------------------------------------
-# File formats. Models and strategies are plain JSON documents; all numbers
-# round-trip exactly through repr-based serialization.
-
-def chain_spec_to_dict(spec: ChainSpec) -> dict:
-    return {
-        "n_internal": spec.n_internal,
-        "p00": spec.p00.tolist(),
-        "p01": spec.p01.tolist(),
-        "c": spec.c.tolist(),
-        "d0": spec.d0.tolist(),
-        "d1": spec.d1.tolist(),
-    }
-
+# File formats. Models and strategies are plain JSON documents, written with
+# to_doc; all numbers round-trip exactly through repr-based serialization.
 
 def _from_dict(cls, kind: str, data: dict):
     """Build ``cls`` from the document's keys, taken in field order."""
@@ -341,14 +335,6 @@ def load_chain_spec(path: str | Path) -> ChainSpec:
     """Read a model from a JSON file; raises ValueError on schema problems."""
     with open(path, encoding="utf-8") as fh:
         return chain_spec_from_dict(json.load(fh))
-
-
-def dump_chain_spec(spec: ChainSpec, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(chain_spec_to_dict(spec), indent=2) + "\n", encoding="utf-8")
-
-
-def strategy_to_dict(strategy: Strategy) -> dict:
-    return {"alpha0": strategy.alpha0.tolist(), "alpha1": strategy.alpha1.tolist()}
 
 
 def strategy_from_dict(data: dict) -> Strategy:

@@ -67,8 +67,8 @@ class RefutationReport:
 
     ``gap`` measures how far the best random strategy stayed inside the
     optimum (nonnegative up to roundoff); ``violations`` counts samples
-    beyond the optimum by more than ``tolerance``. Both are None/0 when
-    no samples were drawn.
+    beyond the optimum by more than ``tolerance``, which is always
+    ``DOMINANCE_TOL``. Both are None/0 when no samples were drawn.
     """
 
     samples: int
@@ -188,14 +188,13 @@ def refute_with_random_strategies(
     control: OptimalControl,
     samples: int,
     seed: int,
-    tolerance: float = DOMINANCE_TOL,
 ) -> RefutationReport:
     """Try to beat a claimed optimum with random strategies.
 
     Draws ``samples`` independent strategy pairs uniformly from the
     simplices (alpha0 for all samples first, then alpha1), evaluates the
     long-run income for every pair in a vectorized single pass, and
-    reports anything beyond ``control.value`` by more than ``tolerance``.
+    reports anything beyond ``control.value`` by more than DOMINANCE_TOL.
     Deterministic for fixed (spec, control, samples, seed).
     """
     if samples < 0:
@@ -204,7 +203,7 @@ def refute_with_random_strategies(
         raise ValueError(f"seed must be >= 0, got {seed}")
     if samples == 0:
         return RefutationReport(
-            samples=0, seed=seed, tolerance=tolerance,
+            samples=0, seed=seed, tolerance=DOMINANCE_TOL,
             best_observed=None, gap=None, violations=0,
         )
     analysis = control.analysis if control.spec is spec else analyze_chain(spec)
@@ -216,13 +215,13 @@ def refute_with_random_strategies(
 
     if control.direction == "maximize":
         best = float(values.max())
-        violations = int((values > control.value + tolerance).sum())
+        violations = int((values > control.value + DOMINANCE_TOL).sum())
         gap = control.value - best
     else:
         best = float(values.min())
-        violations = int((values < control.value - tolerance).sum())
+        violations = int((values < control.value - DOMINANCE_TOL).sum())
         gap = best - control.value
     return RefutationReport(
-        samples=samples, seed=seed, tolerance=tolerance,
+        samples=samples, seed=seed, tolerance=DOMINANCE_TOL,
         best_observed=best, gap=gap, violations=violations,
     )

@@ -80,15 +80,6 @@ class SimulationStats:
     std_error: float
     boundary_counts: tuple[int, int]
 
-    def to_dict(self) -> dict:
-        return {
-            "cycles": self.cycles,
-            "total_income": self.total_income,
-            "i_hat": self.i_hat,
-            "std_error": self.std_error,
-            "boundary_counts": list(self.boundary_counts),
-        }
-
 
 class _Picker:
     """Exact inverse CDF over the rows of a probability table.

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from tuning import ChainSpec, chain_spec_to_dict
+from tuning import ChainSpec, to_doc
 
 # two-internal reference instance; every downstream number below is derived
 # from it by exact rational arithmetic
@@ -40,5 +40,5 @@ def reference_spec() -> ChainSpec:
 @pytest.fixture
 def reference_model_file(tmp_path, reference_spec):
     path = tmp_path / "reference_model.json"
-    path.write_text(json.dumps(chain_spec_to_dict(reference_spec), indent=2))
+    path.write_text(json.dumps(to_doc(reference_spec), indent=2))
     return path

@@ -582,6 +582,41 @@ class TestOutputFile:
         assert not out_path.parent.exists()
 
 
+class TestOutOfMemory:
+    """A failed allocation ends in an OUT_OF_MEMORY document, exit 2. The
+    callees are replaced by ones that raise: whether a real oversized
+    request fails at once depends on the host's overcommit policy."""
+
+    @staticmethod
+    def raiser(exc: MemoryError):
+        def fail(*args, **kwargs):
+            raise exc
+        return fail
+
+    @pytest.mark.parametrize(
+        "target, command, exc, message",
+        [
+            ("refute_with_random_strategies", ("solve", "--refute-samples", "1000000000000"),
+             MemoryError("Unable to allocate 14.6 TiB"), "Unable to allocate 14.6 TiB"),
+            ("simulate_replicated", ("simulate", "--degenerate", "3", "3"), MemoryError(), "out of memory"),
+        ],
+        ids=["refute", "simulate"],
+    )
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output-file"])
+    def test_out_of_memory_document(
+        self, capsys, monkeypatch, tmp_path, reference_model_file, target, command, exc, message, to_file
+    ):
+        monkeypatch.setattr(f"tuning.cli.{target}", self.raiser(exc))
+        out_path = tmp_path / "result.json"
+        extra = ("-o", str(out_path)) if to_file else ()
+        status, out = run_cli(capsys, command[0], str(reference_model_file), *command[1:], *extra)
+        assert status == 2
+        if to_file:
+            assert out == ""
+            out = out_path.read_text(encoding="utf-8")
+        assert json.loads(out) == {"error": {"code": "OUT_OF_MEMORY", "message": message}}
+
+
 class TestSubprocessEntryPoint:
     def test_module_invocation_is_bit_identical(self, reference_model_file):
         env = dict(os.environ)

@@ -8,10 +8,9 @@ from tuning import (
     ChainSpec,
     Strategy,
     chain_spec_from_dict,
-    chain_spec_to_dict,
     degenerate_strategy,
     strategy_from_dict,
-    strategy_to_dict,
+    to_doc,
     validate_chain,
     validate_strategy,
 )
@@ -110,7 +109,7 @@ class TestValidateChain:
 
     @pytest.mark.parametrize("count", [2.5, 2.0, "2", True, None])
     def test_count_that_is_not_an_int_is_rejected_not_coerced(self, reference_spec, count):
-        doc = chain_spec_to_dict(reference_spec)
+        doc = to_doc(reference_spec)
         doc["n_internal"] = count
         spec = chain_spec_from_dict(doc)
         assert spec.n_internal is count
@@ -126,21 +125,21 @@ class TestValidateChain:
         ],
     )
     def test_non_numeric_entries_are_rejected_not_parsed(self, reference_spec, field, value):
-        doc = chain_spec_to_dict(reference_spec)
+        doc = to_doc(reference_spec)
         doc[field] = value
         report = validate_chain(chain_spec_from_dict(doc))
         assert codes(report) == ["NOT_NUMERIC"]
         assert report.errors[0].where == field
 
     def test_integer_entries_load_as_float(self, reference_spec):
-        doc = chain_spec_to_dict(reference_spec)
+        doc = to_doc(reference_spec)
         doc["c"] = [1, 2]
         spec = chain_spec_from_dict(doc)
         assert spec.c.dtype == np.float64
         assert validate_chain(spec).ok
 
     def test_numpy_integer_count_is_accepted(self, reference_spec):
-        doc = chain_spec_to_dict(reference_spec)
+        doc = to_doc(reference_spec)
         doc["n_internal"] = np.int64(2)
         spec = chain_spec_from_dict(doc)
         assert type(spec.n_internal) is int
@@ -227,7 +226,7 @@ class TestDegenerateStrategy:
 
 class TestSerialization:
     def test_chain_spec_round_trip(self, reference_spec):
-        data = chain_spec_to_dict(reference_spec)
+        data = to_doc(reference_spec)
         again = chain_spec_from_dict(data)
         for name in ("p00", "p01", "c", "d0", "d1"):
             assert np.array_equal(getattr(again, name), getattr(reference_spec, name))
@@ -235,7 +234,7 @@ class TestSerialization:
 
     def test_strategy_round_trip(self):
         strategy = Strategy([0.25, 0.75], [0.5, 0.5])
-        again = strategy_from_dict(strategy_to_dict(strategy))
+        again = strategy_from_dict(to_doc(strategy))
         assert np.array_equal(again.alpha0, strategy.alpha0)
         assert np.array_equal(again.alpha1, strategy.alpha1)
 
