@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericOverflowError, SingularSystemError
-from .model import ChainSpec, ValidationReport, Violation
+from .model import ChainSpec, ValidationReport, Violation, _frozen
 
 RESIDUAL_TOL = 1e-10
 POSITIVITY_EPS = 1e-12
@@ -38,9 +38,7 @@ class AbsorptionAnalysis:
 
     def __post_init__(self) -> None:
         for name in ("b", "r"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
 
 
 def fundamental_solve(p00: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -69,16 +67,17 @@ def fundamental_solve(p00: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     cols = rhs.reshape(rhs.shape[0], -1)
     sol = x.reshape(cols.shape)
     bound = RESIDUAL_TOL * np.maximum(1.0, np.max(np.abs(cols), axis=0))
-    miss = np.max(np.abs(a @ sol - cols), axis=0) > bound
-    if miss.any():
-        sol[:, miss] += np.linalg.solve(a, cols[:, miss] - a @ sol[:, miss])
-        residual = np.max(np.abs(a @ sol - cols), axis=0)
-        k = int(np.argmax(residual / bound))
-        if not np.isfinite(sol).all() or residual[k] > bound[k]:
-            raise SingularSystemError(
-                f"(I - P00) is numerically singular: residual {residual[k]:.3e} "
-                f"exceeds bound {bound[k]:.3e} after refinement"
-            )
+    with np.errstate(over="ignore", invalid="ignore"):  # a residual near the float max may overflow
+        miss = np.max(np.abs(a @ sol - cols), axis=0) > bound
+        if miss.any():
+            sol[:, miss] += np.linalg.solve(a, cols[:, miss] - a @ sol[:, miss])
+            residual = np.max(np.abs(a @ sol - cols), axis=0)
+            k = int(np.argmax(residual / bound))
+            if not np.isfinite(sol).all() or residual[k] > bound[k]:
+                raise SingularSystemError(
+                    f"(I - P00) is numerically singular: residual {residual[k]:.3e} "
+                    f"exceeds bound {bound[k]:.3e} after refinement"
+                )
     return sol.reshape(x.shape)
 
 
@@ -86,18 +85,19 @@ def analyze_chain(spec: ChainSpec) -> AbsorptionAnalysis:
     """Solve for b and r with one factorization of (I - P00), on the
     stacked right-hand side [P01 | c].
 
-    Raises NumericOverflowError when b solves cleanly on its own but r
-    leaves the float range: (I - P00) is then sound and the incomes are
-    too large, so SINGULAR_SYSTEM would misname the failure.
+    Raises NumericOverflowError when b solves cleanly on its own but r or
+    (I - P00) r leaves the float range: (I - P00) is then sound and the
+    incomes are too large, so SINGULAR_SYSTEM would misname the failure.
     """
     try:
         x = fundamental_solve(spec.p00, np.column_stack([spec.p01, spec.c]))
     except SingularSystemError:
         fundamental_solve(spec.p00, spec.p01)  # raises if (I - P00) is at fault
+        a = np.eye(spec.n_internal) - spec.p00
         with np.errstate(over="ignore", invalid="ignore"):
-            r = np.linalg.solve(np.eye(spec.n_internal) - spec.p00, spec.c)
-        if np.isfinite(r).all():
-            raise
+            r = np.linalg.solve(a, spec.c)
+            if np.isfinite(r).all() and np.isfinite(a @ r).all():
+                raise
         raise NumericOverflowError("expected segment income r overflowed the float range") from None
     return AbsorptionAnalysis(b=x[:, :2], r=x[:, 2])
 

@@ -217,7 +217,8 @@ def validate_chain(spec: ChainSpec) -> ValidationReport:
                 )
             )
 
-    row_sums = spec.p00.sum(axis=1) + spec.p01.sum(axis=1)
+    with np.errstate(over="ignore"):  # entries far above 1 are reported as PROB_RANGE
+        row_sums = spec.p00.sum(axis=1) + spec.p01.sum(axis=1)
     for i in np.flatnonzero(np.abs(row_sums - 1.0) > ROW_SUM_TOL):
         errors.append(
             Violation(

@@ -31,11 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .absorption import AbsorptionAnalysis, analyze_chain, check_positivity
-from .errors import PositivityError
+from .errors import NumericOverflowError, PositivityError
 from .model import ChainSpec
-from .stationary import _coefficient_tables, _ratio_values, cost_coefficients
+from .stationary import _coefficient_tables, _ratio_values, _rewards, cost_coefficients
 
-DIRECTIONS = ("maximize", "minimize")
+SIGNS = {"maximize": 1.0, "minimize": -1.0}
+DIRECTIONS = tuple(SIGNS)
 DOMINANCE_TOL = 1e-9
 # rounding allowance of the candidate window, in units of machine epsilon
 # times max|g| + |h|: a first-order error analysis of the q-values (2 each)
@@ -147,18 +148,17 @@ def solve_tuning(spec: ChainSpec, direction: str = "maximize") -> OptimalControl
         )
     # negating the incomes negates every table entry exactly, so the
     # minimum is found as the maximum of the negated problem
-    sign = 1.0 if direction == "maximize" else -1.0
-    rows, cols = _candidates(
-        sign * (spec.d0 + analysis.r),
-        sign * (spec.d1 + analysis.r),
-        analysis.b[:, 0],
-        analysis.b[:, 1],
-    )
-    a, bt = _coefficient_tables(spec, analysis, rows, cols)
-    block = a / bt
-    # np.argmax/argmin return the first flat index, which is lexicographic
-    # in (row, column) order, within the block as in the full table
-    flat = int(np.argmax(block) if direction == "maximize" else np.argmin(block))
+    s = SIGNS[direction]
+    g0, g1 = _rewards(spec, analysis)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows, cols = _candidates(s * g0, s * g1, analysis.b[:, 0], analysis.b[:, 1])
+        a, bt = _coefficient_tables(spec, analysis, rows, cols)
+        block = a / bt
+    if not (block.size and np.isfinite(block).all()):
+        raise NumericOverflowError("a candidate table entry overflowed the float range")
+    # np.argmax returns the first flat index, which is lexicographic in
+    # (row, column) order, within the block as in the full table
+    flat = int(np.argmax(s * block))
     i0, i1 = divmod(flat, cols.size)
     return OptimalControl(
         m0_star=int(rows[i0]) + 2,
@@ -201,26 +201,20 @@ def refute_with_random_strategies(
         raise ValueError(f"samples must be >= 0, got {samples}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    if samples == 0:
-        return RefutationReport(
-            samples=0, seed=seed, tolerance=DOMINANCE_TOL,
-            best_observed=None, gap=None, violations=0,
-        )
-    analysis = control.analysis if control.spec is spec else analyze_chain(spec)
-    rng = np.random.default_rng(seed)
-    n = spec.n_internal
-    alpha0 = _simplex_rows(rng, samples, n)
-    alpha1 = _simplex_rows(rng, samples, n)
-    values = _ratio_values(alpha0, alpha1, spec, analysis)
-
-    if control.direction == "maximize":
-        best = float(values.max())
-        violations = int((values > control.value + DOMINANCE_TOL).sum())
-        gap = control.value - best
-    else:
-        best = float(values.min())
-        violations = int((values < control.value - DOMINANCE_TOL).sum())
-        gap = best - control.value
+    best, gap, violations = None, None, 0
+    if samples > 0:
+        analysis = control.analysis if control.spec is spec else analyze_chain(spec)
+        rng = np.random.default_rng(seed)
+        alpha0 = _simplex_rows(rng, samples, spec.n_internal)
+        alpha1 = _simplex_rows(rng, samples, spec.n_internal)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = _ratio_values(alpha0, alpha1, spec, analysis)
+        if not np.isfinite(values).all():
+            raise NumericOverflowError("a sampled strategy's value overflowed the float range")
+        s = SIGNS[control.direction]
+        best = s * float(np.max(s * values))
+        violations = int((s * values > s * control.value + DOMINANCE_TOL).sum())
+        gap = s * control.value - s * best  # not s * (value - best), which is -0.0 at a zero gap
     return RefutationReport(
         samples=samples, seed=seed, tolerance=DOMINANCE_TOL,
         best_observed=best, gap=gap, violations=violations,

@@ -17,7 +17,7 @@ cycles of a pool in numpy lockstep, and stitches the pools into one path.
   ascending internal labels: exactly `bisect_right` on the cumulative row.
 * Streams: replication s of seed k draws from the PCG64 streams
   SeedSequence(k, spawn_key=(s, j)); j = 0 and 1 feed the pools of
-  boundary 0 and 1, j = 2 the warm-up. `simulate` is replication 0.
+  boundary 0 and 1, j = 2 the warm-up; one replication is s = 0.
 * Pool b grows in chunks of 1, 16, 256 and then 4096 cycles each. A chunk
   draws one uniform per restart, then one per running cycle per step.
   The schedule does not depend on the request, so `simulate` with any
@@ -240,27 +240,15 @@ def simulate(
     strategy: Strategy,
     cycles: int,
     seed: int,
-    *,
-    segment_limit: int = DEFAULT_SEGMENT_LIMIT,
-) -> SimulationStats:
-    """Simulate exactly ``cycles`` boundary-to-boundary cycles (replication 0)."""
-    return simulate_replicated(spec, strategy, cycles, seed, 1, segment_limit=segment_limit)
-
-
-def simulate_replicated(
-    spec: ChainSpec,
-    strategy: Strategy,
-    cycles: int,
-    seed: int,
     replications: int = 1,
     *,
     segment_limit: int = DEFAULT_SEGMENT_LIMIT,
 ) -> SimulationStats:
-    """Run ``replications`` independent streams of ``cycles`` each and pool.
+    """Simulate ``replications`` independent streams of exactly ``cycles`` cycles and pool them.
 
     Replication r uses the (seed, r) streams, and partial results are
-    merged in replication order, so the outcome is deterministic and
-    replication 0 alone is `simulate`. Raises NumericOverflowError when the
+    merged in replication order, so the outcome is deterministic; the
+    default is replication 0 alone. Raises NumericOverflowError when the
     total or the scatter of the incomes leaves the float range.
     """
     if cycles < 1:
@@ -287,6 +275,9 @@ def simulate_replicated(
     )
 
 
+simulate_replicated = simulate
+
+
 def sample_trajectory(
     spec: ChainSpec,
     strategy: Strategy,
@@ -307,6 +298,8 @@ def sample_trajectory(
     events: list[TrajectoryEvent] = []
 
     def segment(head: int, kind: str, delta: float, path: np.ndarray, exit_: int) -> None:
+        if not math.isfinite(delta):
+            raise NumericOverflowError(f"transfer income {delta!r} overflowed the float range")
         events.append(TrajectoryEvent(len(events), head + 2, kind, delta))
         for s in path.tolist():
             events.append(TrajectoryEvent(len(events), s + 2, FREE_MOVE, c[s]))

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .absorption import AbsorptionAnalysis
-from .errors import DegenerateChainError, PositivityError
+from .errors import DegenerateChainError, NumericOverflowError, PositivityError
 from .model import ChainSpec, Strategy
 
 DEGENERACY_TOL = 1e-14
@@ -93,15 +93,21 @@ def stationary_distribution(p_tilde: np.ndarray) -> np.ndarray:
     return np.array([p_tilde[1, 0] / off, p_tilde[0, 1] / off])
 
 
+def _rewards(spec: ChainSpec, analysis: AbsorptionAnalysis) -> tuple[np.ndarray, np.ndarray]:
+    """Per-restart rewards g0 = d0 + r and g1 = d1 + r of cycles started at
+    boundary 0 and 1; NumericOverflowError if one leaves the float range."""
+    with np.errstate(over="ignore"):
+        g0, g1 = spec.d0 + analysis.r, spec.d1 + analysis.r
+    if not (np.isfinite(g0).all() and np.isfinite(g1).all()):
+        raise NumericOverflowError("reward d + r overflowed the float range")
+    return g0, g1
+
+
 def visit_income(strategy: Strategy, spec: ChainSpec, analysis: AbsorptionAnalysis) -> np.ndarray:
     """Expected income of one cycle started at boundary 0 and 1."""
     _check_lengths(strategy, spec.n_internal)
-    return np.array(
-        [
-            float(strategy.alpha0 @ (spec.d0 + analysis.r)),
-            float(strategy.alpha1 @ (spec.d1 + analysis.r)),
-        ]
-    )
+    g0, g1 = _rewards(spec, analysis)
+    return np.array([float(strategy.alpha0 @ g0), float(strategy.alpha1 @ g1)])
 
 
 def _coefficient_tables(
@@ -110,11 +116,10 @@ def _coefficient_tables(
     """a_table and b_table restricted to the m0 indices ``rows`` and the m1
     indices ``cols``; every entry is computed by the same operations as in
     the full tables, so a sub-block is bitwise equal to the full tables'."""
-    g0 = spec.d0[rows] + analysis.r[rows]
-    g1 = spec.d1[cols] + analysis.r[cols]
+    g0, g1 = _rewards(spec, analysis)
     b0 = analysis.b[cols, 0]
     b1 = analysis.b[rows, 1]
-    a = np.outer(g0, b0) + np.outer(b1, g1)
+    a = np.outer(g0[rows], b0) + np.outer(b1, g1[cols])
     bt = np.add.outer(b1, b0)
     return a, bt
 
@@ -126,25 +131,29 @@ def _ratio_values(alpha0: np.ndarray, alpha1: np.ndarray, spec: ChainSpec, analy
     to1 = alpha0 @ analysis.b[:, 1]
     off = to0 + to1
     _require_switching(off)
-    rho0 = alpha0 @ (spec.d0 + analysis.r)
-    rho1 = alpha1 @ (spec.d1 + analysis.r)
-    return (rho0 * to0 + rho1 * to1) / off
+    g0, g1 = _rewards(spec, analysis)
+    return ((alpha0 @ g0) * to0 + (alpha1 @ g1) * to1) / off
 
 
 def cost_coefficients(spec: ChainSpec, analysis: AbsorptionAnalysis) -> CostCoefficients:
     """Build the degenerate-policy tables.
 
     Raises PositivityError if any b_table entry is not strictly positive,
-    since the ratio c_table is undefined there.
+    since the ratio c_table is undefined there, and NumericOverflowError
+    when an a_table or c_table entry leaves the float range.
     """
-    a, bt = _coefficient_tables(spec, analysis)
-    if (bt <= 0.0).any():
-        i, j = map(int, np.argwhere(bt <= 0.0)[0])
-        raise PositivityError(
-            f"b_table entry for policy ({i + 2}, {j + 2}) is {float(bt[i, j])!r}, "
-            "ratio table is undefined"
-        )
-    return CostCoefficients(a_table=a, b_table=bt, c_table=a / bt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, bt = _coefficient_tables(spec, analysis)
+        if (bt <= 0.0).any():
+            i, j = map(int, np.argwhere(bt <= 0.0)[0])
+            raise PositivityError(
+                f"b_table entry for policy ({i + 2}, {j + 2}) is {float(bt[i, j])!r}, "
+                "ratio table is undefined"
+            )
+        c = a / bt
+    if not np.isfinite(c).all():
+        raise NumericOverflowError("degenerate-policy table overflowed the float range")
+    return CostCoefficients(a_table=a, b_table=bt, c_table=c)
 
 
 def indicator(
@@ -158,18 +167,24 @@ def indicator(
     The three routes are algebraically identical; keeping them separate
     gives an internal cross-check (they must agree to near machine
     precision on any valid input). All raise DegenerateChainError when
-    the boundary chain never switches sides.
+    the boundary chain never switches sides, and NumericOverflowError when
+    the route's arithmetic leaves the float range.
     """
     _check_lengths(strategy, spec.n_internal)
-    if route == "embedded":
-        pi = stationary_distribution(embedded_transition(strategy, analysis))
-        return float(pi @ visit_income(strategy, spec, analysis))
-    if route == "ratio":
-        return float(_ratio_values(strategy.alpha0, strategy.alpha1, spec, analysis))
-    if route == "fractional":
-        a, bt = _coefficient_tables(spec, analysis)
-        weights = np.outer(strategy.alpha0, strategy.alpha1)
-        den = float((bt * weights).sum())
-        _require_switching(den)
-        return float((a * weights).sum()) / den
-    raise ValueError(f"unknown route {route!r}, expected one of {ROUTES}")
+    if route not in ROUTES:
+        raise ValueError(f"unknown route {route!r}, expected one of {ROUTES}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if route == "embedded":
+            pi = stationary_distribution(embedded_transition(strategy, analysis))
+            value = float(pi @ visit_income(strategy, spec, analysis))
+        elif route == "ratio":
+            value = float(_ratio_values(strategy.alpha0, strategy.alpha1, spec, analysis))
+        else:
+            a, bt = _coefficient_tables(spec, analysis)
+            weights = np.outer(strategy.alpha0, strategy.alpha1)
+            den = float((bt * weights).sum())
+            _require_switching(den)
+            value = float((a * weights).sum()) / den
+    if not np.isfinite(value):
+        raise NumericOverflowError(f"{route} route value {value!r} overflowed the float range")
+    return value

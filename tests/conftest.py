@@ -31,6 +31,27 @@ REF_I_MIN = Fraction(19, 10)  # attained at labels (2, 2)
 REF_PI = [Fraction(1, 3), Fraction(2, 3)]  # degenerate (3, 3)
 REF_RHO = [Fraction(7, 3), Fraction(47, 15)]  # degenerate (3, 3)
 
+# finite models that validate clean but whose results leave the float range
+OVERFLOW_REWARD = {  # d + r overflows
+    **REFERENCE, "c": [1e307, 1e307], "d0": [1.7e308, 1.7e308], "d1": [1.7e308, 1.7e308],
+}
+OVERFLOW_TABLE = {  # every reward is finite, some table entries a are not
+    "n_internal": 2,
+    "p00": [[0.05, 0.05], [0.05, 0.05]],
+    "p01": [[0.05, 0.85], [0.85, 0.05]],
+    "c": [0.0, 0.0],
+    "d0": [1.5e308, 1.5e308],
+    "d1": [1.5e308, 1.5e308],
+}
+OVERFLOW_RESIDUAL = {  # r is finite, its residual (I - P00) r is not
+    "n_internal": 3,
+    "p00": [[0.25, 0.26, 0.06], [0.23, 0.11, 0.16], [0.09, 0.5, 0.37]],
+    "p01": [[0.19, 0.24], [0.27, 0.23], [0.02, 0.02]],
+    "c": [1.7e308, -1.7e308, 0.0],
+    "d0": [-1.0, -1.0, -1.0],
+    "d1": [-1.0, -1.0, -1.0],
+}
+
 
 @pytest.fixture
 def reference_spec() -> ChainSpec:

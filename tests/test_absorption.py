@@ -14,7 +14,7 @@ from tuning import (
 )
 from tuning.absorption import POSITIVITY_EPS
 
-from conftest import REF_B, REF_FUNDAMENTAL, REF_R
+from conftest import OVERFLOW_RESIDUAL, REF_B, REF_FUNDAMENTAL, REF_R
 from oracles import exact_analysis, mc_absorption, neumann_fundamental, random_spec
 from strats import chain_specs
 
@@ -150,6 +150,13 @@ class TestAnalyzeChain:
             n_internal=2, p00=reference_spec.p00, p01=reference_spec.p01,
             c=[1e308, 1e308], d0=reference_spec.d0, d1=reference_spec.d1,
         )
+        with pytest.raises(NumericOverflowError):
+            analyze_chain(spec)
+
+    def test_residual_overflow_is_not_a_singular_system(self):
+        spec = ChainSpec(**OVERFLOW_RESIDUAL)
+        # r itself is finite; only the residual check leaves the float range
+        assert np.isfinite(np.linalg.solve(np.eye(3) - spec.p00, spec.c)).all()
         with pytest.raises(NumericOverflowError):
             analyze_chain(spec)
 

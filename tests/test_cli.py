@@ -1,17 +1,25 @@
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tuning import simulate_replicated, solve_tuning
 from tuning.cli import main
+
+from conftest import OVERFLOW_RESIDUAL, OVERFLOW_REWARD, OVERFLOW_TABLE
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str]:
@@ -218,6 +226,15 @@ class TestSolveCommand:
         assert rep["seed"] == 17
         assert rep["violations"] == 0
         assert rep["gap"] >= -1e-9
+
+    def test_zero_minimize_gap_is_positive_zero(self, capsys, tmp_path):
+        # one state, one strategy: every sample equals the minimum exactly
+        path = write_json(tmp_path / "one.json", {
+            "n_internal": 1, "p00": [[0.2]], "p01": [[0.3, 0.5]], "c": [1.0], "d0": [-0.5], "d1": [-0.25],
+        })
+        status, out = run_cli(capsys, "solve", str(path), "--direction", "min", "--refute-samples", "100")
+        assert status == 0
+        assert '"gap": 0.0,' in out
 
 
 class TestSimulateCommand:
@@ -453,6 +470,89 @@ class TestNumericFailureExits:
         )
         assert status == 3
         assert json.loads(out)["error"]["code"] == "DEGENERATE_CHAIN"
+
+
+class TestFloatRange:
+    @pytest.mark.parametrize("model, argv", [
+        ("reward", "indicator --degenerate 2 3"),
+        ("reward", "indicator --degenerate 2 3 --route ratio"),
+        ("reward", "indicator --degenerate 2 3 --route fractional"),
+        ("reward", "table"),
+        ("reward", "solve"),
+        ("reward", "trajectory --degenerate 2 3"),
+        ("table", "indicator --degenerate 2 3 --route ratio"),
+        ("table", "indicator --degenerate 2 3 --route fractional"),
+        ("table", "table"),
+        ("table", "solve"),
+        ("residual", "analyze"),
+        ("residual", "solve"),
+    ])
+    def test_overflow_exits_three(self, capsys, tmp_path, model, argv):
+        doc = {"reward": OVERFLOW_REWARD, "table": OVERFLOW_TABLE, "residual": OVERFLOW_RESIDUAL}[model]
+        command, *rest = argv.split()
+        status, out = run_cli(capsys, command, str(write_json(tmp_path / "model.json", doc)), *rest)
+        assert status == 3
+        assert json.loads(out)["error"]["code"] == "OVERFLOW"
+
+    def test_embedded_route_of_a_finite_value_is_kept(self, capsys, tmp_path):
+        path = write_json(tmp_path / "model.json", OVERFLOW_TABLE)
+        status, out = run_cli(capsys, "indicator", str(path), "--degenerate", "2", "3")
+        assert status == 0
+        assert json.loads(out)["value"] == 1.5000000000000002e308
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name} in a document")
+
+
+_EDGE_VALUES = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1e-13, 1e-300, 5e-324, 1e20, 1e300, 1.5e308, 1.7e308, -1.7e308]
+
+
+@st.composite
+def edge_models(draw) -> dict:
+    """Valid-looking models at the float edges: positive normalized rows of
+    [p01 | p00], p01 sometimes scaled towards 0 first, extreme incomes."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    weights = st.floats(min_value=0.01, max_value=1.0)
+    rows = []
+    for _ in range(n):
+        row = np.array(draw(st.lists(weights, min_size=n + 2, max_size=n + 2)))
+        row[:2] *= draw(st.sampled_from([1.0, 1.0, 0.0, 1e-13, 1e-9]))
+        rows.append(row / row.sum())
+    full = np.array(rows)
+    vector = st.lists(st.sampled_from(_EDGE_VALUES), min_size=n, max_size=n)
+    return {
+        "n_internal": n, "p00": full[:, 2:].tolist(), "p01": full[:, :2].tolist(),
+        "c": draw(vector), "d0": draw(vector), "d1": draw(vector),
+    }
+
+
+class TestEveryInputEndsInADocument:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(model=edge_models(), data=st.data())
+    def test_every_command_exits_with_a_finite_document(self, model, data):
+        label = st.integers(min_value=2, max_value=model["n_internal"] + 1)
+        pick = ["--degenerate", str(data.draw(label)), str(data.draw(label))]
+        invocations = [
+            ["validate"], ["analyze"], ["table"],
+            *(["indicator", *pick, "--route", route] for route in ("embedded", "ratio", "fractional")),
+            *(["solve", "--direction", d, "--refute-samples", "20"] for d in ("max", "min")),
+            ["simulate", *pick, "--cycles", "50", "--segment-limit", "2000"],
+            ["trajectory", *pick, "--max-steps", "30"],
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_json(Path(tmp) / "model.json", model)
+            for argv in invocations:
+                out = io.StringIO()
+                with warnings.catch_warnings(), contextlib.redirect_stdout(out):
+                    warnings.simplefilter("error")
+                    status = main([argv[0], str(path), *argv[1:]])
+                text = out.getvalue()
+                assert status in (0, 1, 3), (argv, text)
+                if status == 0 and argv[0] in ("table", "trajectory"):
+                    assert "inf" not in text and "nan" not in text, (argv, text)
+                else:
+                    json.loads(text, parse_constant=_reject_constant)
 
 
 def usage_message(out: str) -> str:

@@ -29,6 +29,12 @@ class TestValidateChain:
         assert report.errors == ()
         assert report.warnings == ()
 
+    def test_overflowing_row_sum_is_reported_without_a_warning(self):
+        spec = ChainSpec(n_internal=1, p00=[[1e308]], p01=[[1e308, 0.5]], c=[1.0], d0=[-1.0], d1=[-1.0])
+        report = validate_chain(spec)
+        assert codes(report) == ["PROB_RANGE", "PROB_RANGE", "ROW_SUM"]
+        assert report.errors[2].message == "transition row for state 2 sums to inf, not 1"
+
     def test_row_sum_violation_reports_label(self):
         spec = ChainSpec(
             n_internal=2,

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 import tuning.optimizer
 from tuning import (
     ChainSpec,
+    NumericOverflowError,
     PositivityError,
     analyze_chain,
     cost_coefficients,
@@ -16,6 +17,7 @@ from tuning import (
     solve_tuning,
 )
 
+from conftest import OVERFLOW_REWARD, OVERFLOW_TABLE
 from oracles import exact_tables, random_spec
 from strats import chain_specs
 
@@ -51,6 +53,12 @@ class TestSolveTuning:
         assert (control.m0_star, control.m1_star) == (3, 3)
         assert abs(control.value - 43 / 15) <= 1e-12
         assert control.direction == "maximize"
+
+    @pytest.mark.parametrize("model", [OVERFLOW_REWARD, OVERFLOW_TABLE], ids=["reward", "table"])
+    @pytest.mark.parametrize("direction", ["maximize", "minimize"])
+    def test_overflow_raises(self, model, direction):
+        with pytest.raises(NumericOverflowError):
+            solve_tuning(ChainSpec(**model), direction)
 
     def test_reference_minimum(self, reference_spec):
         control = solve_tuning(reference_spec, "minimize")
@@ -207,6 +215,14 @@ class TestRefutation:
         assert report.best_observed is None
         assert report.gap is None
         assert report.violations == 0
+
+    def test_overflowing_sample_raises(self):
+        # the minimum is finite, but mixing in the larger rewards overflows
+        spec = ChainSpec(**{**OVERFLOW_TABLE, "d1": [1.5e308, 1.7e308]})
+        control = solve_tuning(spec, "minimize")
+        assert control.value == 1.4999999999999998e308
+        with pytest.raises(NumericOverflowError, match="sampled"):
+            refute_with_random_strategies(spec, control, 50, seed=1)
 
     def test_single_state_gap_is_exactly_zero(self):
         spec = ChainSpec(

@@ -23,7 +23,7 @@ from tuning import (
 )
 from tuning.simulator import _Picker, _run_stream
 
-from conftest import REF_I_STAR, REF_PI
+from conftest import OVERFLOW_REWARD, REF_I_STAR, REF_PI
 from strats import spec_strategy_pairs
 
 
@@ -185,6 +185,11 @@ class TestTrajectory:
         assert events[0].state == 2
         assert events[0].event_kind == "free_move"
         assert events[0].income_delta == reference_spec.c[0]
+
+    def test_transfer_overflow_raises(self):
+        # d + c of a transfer overflows, as simulate's total does
+        with pytest.raises(NumericOverflowError, match="transfer"):
+            sample_trajectory(ChainSpec(**OVERFLOW_REWARD), degenerate_strategy(2, 3, 2), 10, seed=0)
 
     def test_alternation_when_absorption_is_immediate(self, one_state_deterministic):
         spec, strategy = one_state_deterministic

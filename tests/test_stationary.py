@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from tuning import (
     ChainSpec,
     DegenerateChainError,
+    NumericOverflowError,
     PositivityError,
     Strategy,
     analyze_chain,
@@ -18,7 +19,7 @@ from tuning import (
     visit_income,
 )
 
-from conftest import REF_C_TABLE, REF_PI, REF_RHO
+from conftest import OVERFLOW_REWARD, OVERFLOW_TABLE, REF_C_TABLE, REF_PI, REF_RHO
 from oracles import exact_indicator, exact_tables
 from strats import spec_strategy_pairs
 
@@ -149,6 +150,29 @@ class TestCostCoefficients:
         )
         with pytest.raises(PositivityError):
             cost_coefficients(spec, analyze_chain(spec))
+
+
+class TestFloatRange:
+    def test_reward_overflow_raises_on_every_route_and_table(self):
+        spec = ChainSpec(**OVERFLOW_REWARD)
+        analysis = analyze_chain(spec)
+        for route in ("embedded", "ratio", "fractional"):
+            with pytest.raises(NumericOverflowError, match="reward"):
+                indicator(degenerate_strategy(2, 3, 2), spec, analysis, route)
+        with pytest.raises(NumericOverflowError, match="reward"):
+            cost_coefficients(spec, analysis)
+
+    def test_table_overflow_raises_only_where_a_sum_overflows(self):
+        spec = ChainSpec(**OVERFLOW_TABLE)
+        analysis = analyze_chain(spec)
+        strategy = degenerate_strategy(2, 3, 2)
+        # the embedded route weighs each reward by pi before adding
+        assert indicator(strategy, spec, analysis) == 1.5000000000000002e308
+        for route in ("ratio", "fractional"):
+            with pytest.raises(NumericOverflowError, match=route):
+                indicator(strategy, spec, analysis, route)
+        with pytest.raises(NumericOverflowError, match="table"):
+            cost_coefficients(spec, analysis)
 
 
 class TestIndicator:
