@@ -10,7 +10,7 @@ is a linear solve against (I - P00):
   solving (I - P00) r = c, with the starting state counted.
 
 ``analyze_chain`` gets both from one factorization, solving against the
-stacked right-hand side [P01 | c].
+stacked right-hand side [P01 | c], once per ChainSpec object.
 
 Certain absorption makes (I - P00) nonsingular; a singular system on a
 validated model is therefore reported as an internal inconsistency.
@@ -82,6 +82,16 @@ def fundamental_solve(p00: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def analyze_chain(spec: ChainSpec) -> AbsorptionAnalysis:
+    """The analysis of ``spec``, solved on the first call and stored on that
+    frozen ChainSpec object, whose arrays are read-only; a failed solve
+    stores nothing and raises again on every call."""
+    memo = vars(spec)  # written directly, as functools.cached_property does
+    if "_analysis" not in memo:
+        memo.setdefault("_analysis", _analyze(spec))  # one winner if threads race
+    return memo["_analysis"]
+
+
+def _analyze(spec: ChainSpec) -> AbsorptionAnalysis:
     """Solve for b and r with one factorization of (I - P00), on the
     stacked right-hand side [P01 | c].
 

@@ -184,7 +184,10 @@ def indicator(
             weights = np.outer(strategy.alpha0, strategy.alpha1)
             den = float((bt * weights).sum())
             _require_switching(den)
-            value = float((a * weights).sum()) / den
+            num = float((a * weights).sum())
+            if np.isnan(num):  # a policy of weight 0 adds 0, even where its a entry overflowed
+                num = float(np.where(np.isfinite(a) | (weights != 0.0), a * weights, 0.0).sum())
+            value = num / den
     if not np.isfinite(value):
         raise NumericOverflowError(f"{route} route value {value!r} overflowed the float range")
     return value

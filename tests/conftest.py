@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from tuning import ChainSpec, to_doc
+import tuning.absorption
+from tuning import ChainSpec, fundamental_solve, to_doc
 
 # two-internal reference instance; every downstream number below is derived
 # from it by exact rational arithmetic
@@ -63,3 +64,17 @@ def reference_model_file(tmp_path, reference_spec):
     path = tmp_path / "reference_model.json"
     path.write_text(json.dumps(to_doc(reference_spec), indent=2))
     return path
+
+
+@pytest.fixture
+def solves(monkeypatch) -> list:
+    """Records the right-hand-side shape of every factorization that
+    analyze_chain runs."""
+    calls = []
+
+    def counted(p00, rhs):
+        calls.append(rhs.shape)
+        return fundamental_solve(p00, rhs)
+
+    monkeypatch.setattr(tuning.absorption, "fundamental_solve", counted)
+    return calls

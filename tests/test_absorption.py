@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from tuning import (
     ChainSpec,
@@ -10,7 +12,11 @@ from tuning import (
     SingularSystemError,
     analyze_chain,
     check_positivity,
+    cost_coefficients,
     fundamental_solve,
+    refute_with_random_strategies,
+    solve_tuning,
+    to_doc,
 )
 from tuning.absorption import POSITIVITY_EPS
 
@@ -129,6 +135,9 @@ class TestExpectedIncome:
 
     @settings(max_examples=40)
     @given(spec=chain_specs())
+    @example(spec=ChainSpec(
+        n_internal=1, p00=[[0.01]], p01=[[0.495, 0.495]], c=[2.22507386e-311], d0=[0.0], d1=[0.0],
+    ))
     def test_linear_in_c(self, spec):
         r1 = analyze_chain(spec).r
         doubled = ChainSpec(
@@ -140,8 +149,15 @@ class TestExpectedIncome:
             d1=spec.d1,
         )
         r2 = analyze_chain(doubled).r
-        # power-of-two scaling commutes with every float operation
-        assert np.array_equal(r2, 2.0 * r1)
+        # power-of-two scaling commutes with every float operation that
+        # neither over- nor underflows; below 2^53 times the smallest normal
+        # float, gradual underflow rounds to absolute steps of 2^-1074,
+        # which doubling does not preserve
+        values = np.concatenate([spec.c, r1])
+        if np.all(np.abs(values[values != 0.0]) >= 2.0**53 * np.finfo(float).tiny):
+            assert np.array_equal(r2, 2.0 * r1)
+        else:
+            assert np.max(np.abs(r2 - 2.0 * r1)) <= 8 * spec.n_internal * 2.0**-1074
 
 
 class TestAnalyzeChain:
@@ -164,6 +180,42 @@ class TestAnalyzeChain:
         spec = ChainSpec(n_internal=1, p00=[[1.0]], p01=[[0.0, 0.0]], c=[1e308], d0=[-1.0], d1=[-1.0])
         with pytest.raises(SingularSystemError):
             analyze_chain(spec)
+
+
+class TestAnalysisIsSolvedOncePerSpec:
+    def test_same_object_on_every_call(self, reference_spec):
+        assert analyze_chain(reference_spec) is analyze_chain(reference_spec)
+
+    def test_every_library_caller_shares_one_solve(self, reference_spec, solves):
+        spec = reference_spec
+        analysis = analyze_chain(spec)
+        maximum = solve_tuning(spec, "maximize")
+        minimum = solve_tuning(spec, "minimize")
+        cost_coefficients(spec, analyze_chain(spec))
+        refute_with_random_strategies(spec, minimum, 100, seed=0)
+        assert len(solves) == 1
+        assert maximum.analysis is minimum.analysis is analysis
+
+    def test_a_twin_spec_solves_again(self, reference_spec, solves):
+        first = analyze_chain(reference_spec)
+        second = analyze_chain(dataclasses.replace(reference_spec))
+        assert len(solves) == 2
+        assert second is not first
+        assert np.array_equal(second.b, first.b) and np.array_equal(second.r, first.r)
+
+    def test_a_failed_solve_is_not_stored(self, solves):
+        spec = ChainSpec(**OVERFLOW_RESIDUAL)
+        for attempt in (1, 2):
+            with pytest.raises(NumericOverflowError):
+                analyze_chain(spec)
+            assert len(solves) == 2 * attempt  # the stacked solve, then P01 alone
+        assert set(vars(spec)) == {f.name for f in dataclasses.fields(spec)}
+
+    def test_documents_and_repr_are_unchanged(self, reference_spec):
+        doc, text = to_doc(reference_spec), repr(reference_spec)
+        analyze_chain(reference_spec)
+        assert to_doc(reference_spec) == doc
+        assert repr(reference_spec) == text
 
 
 class TestNeumannCrossCheck:

@@ -1,5 +1,6 @@
 """README.md is a runnable walkthrough: every `tuning` command line in its
-shell blocks exits 0 and prints a parseable document."""
+shell blocks exits 0 and prints a parseable document, and its library
+block runs as written."""
 
 from __future__ import annotations
 
@@ -27,12 +28,16 @@ def readme_commands() -> list[list[str]]:
     return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("tuning ")]
 
 
-def test_every_readme_command_runs(capsys, monkeypatch, tmp_path):
+def _in_readme_dir(monkeypatch, tmp_path) -> None:
     (tmp_path / "models").mkdir()
     shutil.copy(ROOT / "models" / "reference.json", tmp_path / "models")
+    monkeypatch.chdir(tmp_path)
+
+
+def test_every_readme_command_runs(capsys, monkeypatch, tmp_path):
+    _in_readme_dir(monkeypatch, tmp_path)
     [strategy] = [block for block in fenced("json") if '"alpha0"' in block]
     (tmp_path / "my_strategy.json").write_text(strategy)
-    monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("TUNING_SEED", raising=False)
 
     commands = readme_commands()
@@ -48,3 +53,16 @@ def test_every_readme_command_runs(capsys, monkeypatch, tmp_path):
             assert len(rows) > 1 and len({len(row) for row in rows}) == 1, argv
         else:
             assert isinstance(json.loads(out), dict), argv
+
+
+def test_library_block_runs_and_factorizes_once(monkeypatch, tmp_path, solves):
+    _in_readme_dir(monkeypatch, tmp_path)
+    [block] = fenced("python")
+    namespace: dict = {}
+    exec(block, namespace)
+    assert len(solves) == 1
+    # every `print(x)  # == y` line of the block holds exactly
+    claims = re.findall(r"^print\((.*)\)\s*# == (.*)$", block, flags=re.M)
+    assert claims
+    for shown, expected in claims:
+        assert eval(shown, namespace) == eval(expected, namespace), shown

@@ -174,6 +174,16 @@ class TestFloatRange:
         with pytest.raises(NumericOverflowError, match="table"):
             cost_coefficients(spec, analysis)
 
+    @pytest.mark.parametrize("m0, m1, value", [
+        (2, 2, 1.5000000000000002e308),
+        (3, 2, 1.4999999999999998e308),
+    ])
+    def test_fractional_route_skips_overflowed_entries_of_zero_weight(self, m0, m1, value):
+        # only the (2, 3) entry of a_table overflows, and these strategies give it weight 0
+        spec = ChainSpec(**OVERFLOW_TABLE)
+        strategy = degenerate_strategy(m0, m1, 2)
+        assert indicator(strategy, spec, analyze_chain(spec), "fractional") == value
+
 
 class TestIndicator:
     def test_reference_degenerate_optimum(self, reference_spec, reference_analysis):
