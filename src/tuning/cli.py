@@ -151,12 +151,7 @@ def _table(args, spec, report) -> str:
 def _solve(args, spec, report) -> dict:
     seed = _resolve_seed(args.seed)
     control = solve_tuning(spec, {"max": "maximize", "min": "minimize"}[args.direction])
-    doc = {
-        "direction": control.direction,
-        "m0_star": control.m0_star,
-        "m1_star": control.m1_star,
-        "value": control.value,
-    }
+    doc = to_doc(control)
     if args.refute_samples != 0:  # a negative count is refutation's to reject
         rep = refute_with_random_strategies(spec, control, args.refute_samples, seed)
         doc["refutation"] = to_doc(rep)

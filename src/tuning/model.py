@@ -112,6 +112,14 @@ class Strategy:
         object.__setattr__(self, "alpha1", _frozen(self.alpha1))
 
 
+def _check_lengths(strategy: Strategy, n: int) -> None:
+    if strategy.alpha0.shape != (n,) or strategy.alpha1.shape != (n,):
+        raise ValueError(
+            f"strategy dimensions {strategy.alpha0.shape}, {strategy.alpha1.shape} "
+            f"do not match {n} internal states"
+        )
+
+
 @dataclass(frozen=True)
 class Violation:
     """One violated rule: machine code, readable message, offending place.

@@ -20,20 +20,21 @@ the value of every pair is a convex combination of its q-values,
 
 so a pair whose q-values are both maximal is optimal. The n x n ratio
 table is never built on the solve path; it stays available as
-``OptimalControl.c_table``, the oracle the tests scan.
+``cost_coefficients(spec, analyze_chain(spec)).c_table`` and through
+``tuning table``, the oracle the tests scan.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .absorption import AbsorptionAnalysis, analyze_chain, check_positivity
+from .absorption import analyze_chain, check_positivity
 from .errors import NumericOverflowError, PositivityError
 from .model import ChainSpec
-from .stationary import _coefficient_tables, _ratio_values, _rewards, cost_coefficients
+from .stationary import _coefficient_tables, _ratio_values, _rewards
+from .stationary import cost_coefficients  # noqa: F401 - perfbench patches this name here
 
 SIGNS = {"maximize": 1.0, "minimize": -1.0}
 DIRECTIONS = tuple(SIGNS)
@@ -44,22 +45,14 @@ DOMINANCE_TOL = 1e-9
 ROUNDOFF_ULPS = 16.0
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class OptimalControl:
-    """Best deterministic policy: restart labels and value, with the model
-    and absorption analysis it was solved from."""
+    """Best deterministic policy: the direction, restart labels and value."""
 
+    direction: str
     m0_star: int
     m1_star: int
     value: float
-    direction: str
-    spec: ChainSpec
-    analysis: AbsorptionAnalysis
-
-    @functools.cached_property
-    def c_table(self) -> np.ndarray:
-        """The full (n, n) ratio table, built on first access."""
-        return cost_coefficients(self.spec, self.analysis).c_table
 
 
 @dataclass(frozen=True)
@@ -154,20 +147,15 @@ def solve_tuning(spec: ChainSpec, direction: str = "maximize") -> OptimalControl
         rows, cols = _candidates(s * g0, s * g1, analysis.b[:, 0], analysis.b[:, 1])
         a, bt = _coefficient_tables(spec, analysis, rows, cols)
         block = a / bt
-    if not (block.size and np.isfinite(block).all()):
-        raise NumericOverflowError("a candidate table entry overflowed the float range")
     # np.argmax returns the first flat index, which is lexicographic in
-    # (row, column) order, within the block as in the full table
-    flat = int(np.argmax(s * block))
+    # (row, column) order, within the block as in the full table; it picks a
+    # NaN entry first, so only a non-finite choice fails, not a finite
+    # extremum beside an overflowed entry
+    flat = int(np.argmax(s * block)) if block.size else None
+    if flat is None or not np.isfinite(block.flat[flat]):
+        raise NumericOverflowError("a candidate table entry overflowed the float range")
     i0, i1 = divmod(flat, cols.size)
-    return OptimalControl(
-        m0_star=int(rows[i0]) + 2,
-        m1_star=int(cols[i1]) + 2,
-        value=float(block[i0, i1]),
-        direction=direction,
-        spec=spec,
-        analysis=analysis,
-    )
+    return OptimalControl(direction, int(rows[i0]) + 2, int(cols[i1]) + 2, float(block[i0, i1]))
 
 
 def _simplex_rows(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
@@ -203,7 +191,7 @@ def refute_with_random_strategies(
         raise ValueError(f"seed must be >= 0, got {seed}")
     best, gap, violations = None, None, 0
     if samples > 0:
-        analysis = control.analysis if control.spec is spec else analyze_chain(spec)
+        analysis = analyze_chain(spec)
         rng = np.random.default_rng(seed)
         alpha0 = _simplex_rows(rng, samples, spec.n_internal)
         alpha1 = _simplex_rows(rng, samples, spec.n_internal)

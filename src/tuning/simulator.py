@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CycleLimitError, NumericOverflowError
-from .model import ChainSpec, Strategy
+from .model import ChainSpec, Strategy, _check_lengths
 
 DEFAULT_SEGMENT_LIMIT = 10**9
 _CHUNK_CAP = 4096
@@ -257,6 +257,7 @@ def simulate(
         raise ValueError(f"replications must be >= 1, got {replications}")
     if segment_limit < 1:
         raise ValueError(f"segment_limit must be >= 1, got {segment_limit}")
+    _check_lengths(strategy, spec.n_internal)
     pooled = _Moments()
     with np.errstate(over="ignore", invalid="ignore"):
         for stream in range(replications):
@@ -294,6 +295,7 @@ def sample_trajectory(
     """
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    _check_lengths(strategy, spec.n_internal)
     c, d = spec.c.tolist(), [spec.d0.tolist(), spec.d1.tolist()]
     events: list[TrajectoryEvent] = []
 

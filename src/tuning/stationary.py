@@ -41,7 +41,7 @@ import numpy as np
 
 from .absorption import AbsorptionAnalysis
 from .errors import DegenerateChainError, NumericOverflowError, PositivityError
-from .model import ChainSpec, Strategy
+from .model import ChainSpec, Strategy, _check_lengths
 
 DEGENERACY_TOL = 1e-14
 
@@ -64,14 +64,6 @@ def _require_switching(off) -> None:
     if worst <= DEGENERACY_TOL:
         raise DegenerateChainError(
             f"boundary chain has off-diagonal mass {worst!r}, no unique stationary law"
-        )
-
-
-def _check_lengths(strategy: Strategy, n: int) -> None:
-    if strategy.alpha0.shape != (n,) or strategy.alpha1.shape != (n,):
-        raise ValueError(
-            f"strategy dimensions {strategy.alpha0.shape}, {strategy.alpha1.shape} "
-            f"do not match {n} internal states"
         )
 
 

@@ -189,12 +189,11 @@ class TestAnalysisIsSolvedOncePerSpec:
     def test_every_library_caller_shares_one_solve(self, reference_spec, solves):
         spec = reference_spec
         analysis = analyze_chain(spec)
-        maximum = solve_tuning(spec, "maximize")
+        solve_tuning(spec, "maximize")
         minimum = solve_tuning(spec, "minimize")
         cost_coefficients(spec, analyze_chain(spec))
         refute_with_random_strategies(spec, minimum, 100, seed=0)
         assert len(solves) == 1
-        assert maximum.analysis is minimum.analysis is analysis
 
     def test_a_twin_spec_solves_again(self, reference_spec, solves):
         first = analyze_chain(reference_spec)

@@ -494,6 +494,14 @@ class TestFloatRange:
         assert status == 3
         assert json.loads(out)["error"]["code"] == "OVERFLOW"
 
+    def test_finite_minimum_beside_an_overflowed_entry_is_solved(self, capsys, tmp_path):
+        path = write_json(tmp_path / "model.json", OVERFLOW_TABLE)
+        status, out = run_cli(capsys, "solve", str(path), "--direction", "min")
+        assert status == 0
+        assert json.loads(out) == {
+            "direction": "minimize", "m0_star": 3, "m1_star": 2, "value": 1.4999999999999998e308,
+        }
+
     def test_embedded_route_of_a_finite_value_is_kept(self, capsys, tmp_path):
         path = write_json(tmp_path / "model.json", OVERFLOW_TABLE)
         status, out = run_cli(capsys, "indicator", str(path), "--degenerate", "2", "3")

@@ -5,13 +5,14 @@ text exactly. The pinned values were produced by the release before
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
 import tuning
-from tuning import RefutationReport, to_doc
+from tuning import OptimalControl, RefutationReport, solve_tuning, to_doc
 from tuning.cli import main
 
 VIOLATION_KEYS = ["code", "message", "where"]
@@ -116,6 +117,23 @@ class TestToDoc:
         doc = to_doc(reference_spec)
         assert list(doc) == ["n_internal", "p00", "p01", "c", "d0", "d1"]
         assert doc["p00"] == [[0.2, 0.3], [0.4, 0.1]] and type(doc["p00"]) is list
+
+    def test_optimal_control_is_the_solve_document(self, capsys, reference_spec, reference_model_file):
+        assert [f.name for f in dataclasses.fields(OptimalControl)] == [
+            "direction", "m0_star", "m1_star", "value",
+        ]
+        assert solve_tuning(reference_spec) == solve_tuning(reference_spec)
+        assert to_doc(solve_tuning(reference_spec)) == {
+            "direction": "maximize", "m0_star": 3, "m1_star": 3, "value": 2.8666666666666663,
+        }
+        for direction, flag in (("maximize", "max"), ("minimize", "min")):
+            status, doc = run_doc(
+                capsys, "solve", str(reference_model_file), "--direction", flag,
+                "--refute-samples", "100",
+            )
+            assert status == 0
+            del doc["refutation"]
+            assert doc == to_doc(solve_tuning(reference_spec, direction))
 
     def test_plain_values_pass_through(self):
         report = RefutationReport(samples=0, seed=3, tolerance=1e-9, best_observed=None, gap=None, violations=0)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 from bisect import bisect_right
 
 import numpy as np
@@ -176,6 +177,21 @@ class TestReplications:
         one = simulate_replicated(reference_spec, strategy, 2_000, seed=5, replications=1)
         many = simulate_replicated(reference_spec, strategy, 2_000, seed=5, replications=8)
         assert many.std_error < one.std_error
+
+
+class TestStrategyLength:
+    @pytest.mark.parametrize("length", [1, 3])
+    @pytest.mark.parametrize("run", [
+        lambda spec, strategy: simulate(spec, strategy, 100, seed=0),
+        lambda spec, strategy: sample_trajectory(spec, strategy, 50, seed=0),
+    ], ids=["simulate", "trajectory"])
+    def test_wrong_length_is_rejected_as_indicator_rejects_it(self, reference_spec, run, length):
+        strategy = Strategy(np.full(length, 1.0 / length), np.full(length, 1.0 / length))
+        message = re.escape(f"strategy dimensions ({length},), ({length},) do not match 2 internal states")
+        with pytest.raises(ValueError, match=message):
+            indicator(strategy, reference_spec, analyze_chain(reference_spec))
+        with pytest.raises(ValueError, match=message):
+            run(reference_spec, strategy)
 
 
 class TestTrajectory:
