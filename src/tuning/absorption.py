@@ -9,8 +9,9 @@ is a linear solve against (I - P00):
 * expected pre-absorption income  r[l] = E[sum of c over the segment],
   solving (I - P00) r = c, with the starting state counted.
 
-``analyze_chain`` gets both from one factorization, solving against the
-stacked right-hand side [P01 | c], once per ChainSpec object.
+``analyze_chain`` gets both from one LU factorization of (I - P00) against
+the stacked right-hand side [P01 | c], once per ChainSpec object, with no
+refinement or second solve, whether it succeeds or fails.
 
 Certain absorption makes (I - P00) nonsingular; a singular system on a
 validated model is therefore reported as an internal inconsistency.
@@ -42,15 +43,18 @@ class AbsorptionAnalysis:
 
 
 def fundamental_solve(p00: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I - P00) X = rhs by LU with partial pivoting.
+    """Solve (I - P00) X = rhs with one LU factorization (partial pivoting).
 
     Each rhs column k is checked against its own bound: the solution must
     satisfy max|(I - P00) X[:, k] - rhs[:, k]| <= RESIDUAL_TOL *
     max(1, max|rhs[:, k]|), so stacking right-hand sides of different
-    magnitudes into one solve loosens no column's check. Columns that miss
-    their bound after the first solve get one step of iterative refinement.
-    Raises SingularSystemError when the system is exactly or numerically
-    singular.
+    magnitudes into one solve loosens no column's check. LU with partial
+    pivoting is backward stable, so there is no refinement step: a column
+    that misses is one the data do not determine. A column with a
+    non-finite residual overflowed; if every miss did and some column met
+    its bound, (I - P00) is sound and NumericOverflowError is raised (the
+    column is c in analyze_chain, hence the message). Any other miss, or
+    an exactly singular matrix, raises SingularSystemError.
     """
     p00 = np.asarray(p00, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
@@ -59,26 +63,20 @@ def fundamental_solve(p00: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         x = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"(I - P00) is singular: {exc}") from exc
-    if not np.isfinite(x).all():
-        raise SingularSystemError("(I - P00) is numerically singular, solution overflowed")
-    if rhs.size == 0:
-        return x
-
-    cols = rhs.reshape(rhs.shape[0], -1)
-    sol = x.reshape(cols.shape)
-    bound = RESIDUAL_TOL * np.maximum(1.0, np.max(np.abs(cols), axis=0))
+    cols, sol = (rhs, x) if rhs.ndim == 2 else (rhs[:, None], x[:, None])
+    bound = RESIDUAL_TOL * np.maximum(1.0, np.max(np.abs(cols), axis=0, initial=0.0))
     with np.errstate(over="ignore", invalid="ignore"):  # a residual near the float max may overflow
-        miss = np.max(np.abs(a @ sol - cols), axis=0) > bound
-        if miss.any():
-            sol[:, miss] += np.linalg.solve(a, cols[:, miss] - a @ sol[:, miss])
-            residual = np.max(np.abs(a @ sol - cols), axis=0)
-            k = int(np.argmax(residual / bound))
-            if not np.isfinite(sol).all() or residual[k] > bound[k]:
-                raise SingularSystemError(
-                    f"(I - P00) is numerically singular: residual {residual[k]:.3e} "
-                    f"exceeds bound {bound[k]:.3e} after refinement"
-                )
-    return sol.reshape(x.shape)
+        residual = np.max(np.abs(a @ sol - cols), axis=0, initial=0.0)
+        met = residual <= bound
+        k = int(np.argmax(residual / bound))
+    if met.all():
+        return x
+    if met.any() and not np.isfinite(residual[~met]).any():
+        raise NumericOverflowError("expected segment income r overflowed the float range")
+    raise SingularSystemError(
+        f"(I - P00) is numerically singular: residual {residual[k]:.3e} "
+        f"exceeds bound {bound[k]:.3e}"
+    )
 
 
 def analyze_chain(spec: ChainSpec) -> AbsorptionAnalysis:
@@ -87,29 +85,9 @@ def analyze_chain(spec: ChainSpec) -> AbsorptionAnalysis:
     stores nothing and raises again on every call."""
     memo = vars(spec)  # written directly, as functools.cached_property does
     if "_analysis" not in memo:
-        memo.setdefault("_analysis", _analyze(spec))  # one winner if threads race
-    return memo["_analysis"]
-
-
-def _analyze(spec: ChainSpec) -> AbsorptionAnalysis:
-    """Solve for b and r with one factorization of (I - P00), on the
-    stacked right-hand side [P01 | c].
-
-    Raises NumericOverflowError when b solves cleanly on its own but r or
-    (I - P00) r leaves the float range: (I - P00) is then sound and the
-    incomes are too large, so SINGULAR_SYSTEM would misname the failure.
-    """
-    try:
         x = fundamental_solve(spec.p00, np.column_stack([spec.p01, spec.c]))
-    except SingularSystemError:
-        fundamental_solve(spec.p00, spec.p01)  # raises if (I - P00) is at fault
-        a = np.eye(spec.n_internal) - spec.p00
-        with np.errstate(over="ignore", invalid="ignore"):
-            r = np.linalg.solve(a, spec.c)
-            if np.isfinite(r).all() and np.isfinite(a @ r).all():
-                raise
-        raise NumericOverflowError("expected segment income r overflowed the float range") from None
-    return AbsorptionAnalysis(b=x[:, :2], r=x[:, 2])
+        memo.setdefault("_analysis", AbsorptionAnalysis(x[:, :2], x[:, 2]))  # one winner if threads race
+    return memo["_analysis"]
 
 
 def check_positivity(analysis: AbsorptionAnalysis) -> ValidationReport:

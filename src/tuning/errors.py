@@ -16,9 +16,11 @@ class TuningError(Exception):
 class SingularSystemError(TuningError):
     """The internal-block system (I - P00) is numerically singular.
 
-    For a validated model this means absorption is not actually certain,
-    which contradicts the validation result, so it is reported as an
-    internal inconsistency rather than a validation finding.
+    The one LU solve found the matrix exactly singular, or a column missed
+    its residual bound in a way overflow does not explain (see
+    fundamental_solve). For a validated model this means absorption is not
+    actually certain, which contradicts the validation result, so it is
+    reported as an internal inconsistency rather than a validation finding.
     """
 
     code = "SINGULAR_SYSTEM"
@@ -55,7 +57,8 @@ class NumericOverflowError(TuningError):
 
     Raised when the expected segment income r, or a simulated total or
     scatter of incomes, overflows; reported instead of an Infinity or NaN
-    in the output document.
+    in the output document. For r, every missed column of the one LU solve
+    has a non-finite residual and another column met its bound.
     """
 
     code = "OVERFLOW"

@@ -112,12 +112,16 @@ class Strategy:
         object.__setattr__(self, "alpha1", _frozen(self.alpha1))
 
 
-def _check_lengths(strategy: Strategy, n: int) -> None:
+def _check_strategy(strategy: Strategy, n: int) -> None:
     if strategy.alpha0.shape != (n,) or strategy.alpha1.shape != (n,):
         raise ValueError(
             f"strategy dimensions {strategy.alpha0.shape}, {strategy.alpha1.shape} "
             f"do not match {n} internal states"
         )
+    for name, alpha in (("alpha0", strategy.alpha0), ("alpha1", strategy.alpha1)):
+        total = float(alpha.sum())
+        if (alpha < 0.0).any() or not abs(total - 1.0) <= STRATEGY_SUM_TOL:  # a NaN sum fails too
+            raise ValueError(f"strategy {name} must be non-negative and sum to 1, sums to {total!r}")
 
 
 @dataclass(frozen=True)

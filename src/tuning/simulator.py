@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CycleLimitError, NumericOverflowError
-from .model import ChainSpec, Strategy, _check_lengths
+from .model import ChainSpec, Strategy, _check_strategy
 
 DEFAULT_SEGMENT_LIMIT = 10**9
 _CHUNK_CAP = 4096
@@ -71,7 +71,10 @@ class SimulationStats:
     ``boundary_counts[j]`` counts cycles that started at boundary state j,
     so the two entries sum to ``cycles``. ``i_hat`` is total_income /
     cycles exactly; ``std_error`` is the sample standard error of the
-    per-cycle incomes (0.0 when cycles == 1).
+    per-cycle incomes taken as iid (0.0 when cycles == 1). On a boundary
+    chain that persists on one side it understates the spread of ``i_hat``
+    (5.4-5.9 times on n = 2, p01 = [[.88, .02], [.02, .88]]); on the
+    reference model it is calibrated. See ROADMAP.md, item 3.
     """
 
     cycles: int
@@ -257,7 +260,7 @@ def simulate(
         raise ValueError(f"replications must be >= 1, got {replications}")
     if segment_limit < 1:
         raise ValueError(f"segment_limit must be >= 1, got {segment_limit}")
-    _check_lengths(strategy, spec.n_internal)
+    _check_strategy(strategy, spec.n_internal)
     pooled = _Moments()
     with np.errstate(over="ignore", invalid="ignore"):
         for stream in range(replications):
@@ -295,7 +298,7 @@ def sample_trajectory(
     """
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    _check_lengths(strategy, spec.n_internal)
+    _check_strategy(strategy, spec.n_internal)
     c, d = spec.c.tolist(), [spec.d0.tolist(), spec.d1.tolist()]
     events: list[TrajectoryEvent] = []
 

@@ -41,7 +41,7 @@ import numpy as np
 
 from .absorption import AbsorptionAnalysis
 from .errors import DegenerateChainError, NumericOverflowError, PositivityError
-from .model import ChainSpec, Strategy, _check_lengths
+from .model import ChainSpec, Strategy, _check_strategy
 
 DEGENERACY_TOL = 1e-14
 
@@ -69,7 +69,7 @@ def _require_switching(off) -> None:
 
 def embedded_transition(strategy: Strategy, analysis: AbsorptionAnalysis) -> np.ndarray:
     """2x2 transition matrix of the boundary-hit chain."""
-    _check_lengths(strategy, analysis.b.shape[0])
+    _check_strategy(strategy, analysis.b.shape[0])
     return np.vstack([strategy.alpha0 @ analysis.b, strategy.alpha1 @ analysis.b])
 
 
@@ -97,7 +97,7 @@ def _rewards(spec: ChainSpec, analysis: AbsorptionAnalysis) -> tuple[np.ndarray,
 
 def visit_income(strategy: Strategy, spec: ChainSpec, analysis: AbsorptionAnalysis) -> np.ndarray:
     """Expected income of one cycle started at boundary 0 and 1."""
-    _check_lengths(strategy, spec.n_internal)
+    _check_strategy(strategy, spec.n_internal)
     g0, g1 = _rewards(spec, analysis)
     return np.array([float(strategy.alpha0 @ g0), float(strategy.alpha1 @ g1)])
 
@@ -162,7 +162,7 @@ def indicator(
     the boundary chain never switches sides, and NumericOverflowError when
     the route's arithmetic leaves the float range.
     """
-    _check_lengths(strategy, spec.n_internal)
+    _check_strategy(strategy, spec.n_internal)
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}, expected one of {ROUTES}")
     with np.errstate(over="ignore", invalid="ignore"):

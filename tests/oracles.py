@@ -4,7 +4,9 @@ Nothing here calls into the package's numeric paths: linear algebra is
 redone in exact rational arithmetic (Gauss-Jordan over Fractions), the
 fundamental matrix is re-derived as a truncated power series, and
 absorption statistics come from a vectorized batch random walk that
-shares no code with the sequential simulator.
+shares no code with the sequential simulator. ``ladder_analysis`` keeps
+an earlier release's refined, three-solve classification of a failed
+solve as the reference for the package's single solve.
 """
 
 from __future__ import annotations
@@ -142,6 +144,59 @@ def mc_absorption(spec, start_index: int, runs: int, seed: int):
     return freq, float(income.mean()), float(income.std(ddof=1) / np.sqrt(runs))
 
 
+class _LadderSingular(Exception):
+    pass
+
+
+def _refined_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve a X = rhs with one step of iterative refinement on each column
+    that misses its residual bound 1e-10 * max(1, max|rhs[:, k]|)."""
+    try:
+        x = np.linalg.solve(a, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise _LadderSingular from exc
+    if not np.isfinite(x).all():
+        raise _LadderSingular
+    if rhs.size == 0:
+        return x
+    cols = rhs.reshape(rhs.shape[0], -1)
+    sol = x.reshape(cols.shape)
+    bound = 1e-10 * np.maximum(1.0, np.max(np.abs(cols), axis=0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        miss = np.max(np.abs(a @ sol - cols), axis=0) > bound
+        if miss.any():
+            sol[:, miss] += np.linalg.solve(a, cols[:, miss] - a @ sol[:, miss])
+            residual = np.max(np.abs(a @ sol - cols), axis=0)
+            k = int(np.argmax(residual / bound))
+            if not np.isfinite(sol).all() or residual[k] > bound[k]:
+                raise _LadderSingular
+    return sol.reshape(x.shape)
+
+
+def ladder_analysis(spec):
+    """Error code, b and r by the three-solve ladder of an earlier release.
+
+    The stacked [P01 | c] is solved with refinement; if it fails, P01 is
+    solved alone (a failure there is SINGULAR_SYSTEM), then c alone: a
+    non-finite r or (I - P00) r is OVERFLOW, anything else SINGULAR_SYSTEM.
+    Returns ("ok", b, r) on success and (code, None, None) otherwise.
+    """
+    a = np.eye(spec.n_internal) - spec.p00
+    try:
+        x = _refined_solve(a, np.column_stack([spec.p01, spec.c]))
+    except _LadderSingular:
+        try:
+            _refined_solve(a, spec.p01)
+        except _LadderSingular:
+            return "SINGULAR_SYSTEM", None, None
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = np.linalg.solve(a, spec.c)
+            if np.isfinite(r).all() and np.isfinite(a @ r).all():
+                return "SINGULAR_SYSTEM", None, None
+        return "OVERFLOW", None, None
+    return "ok", x[:, :2], x[:, 2]
+
+
 # ---------------------------------------------------------------------------
 # random instances
 
@@ -159,6 +214,33 @@ def random_spec(rng: np.random.Generator, n: int, income_scale: float = 5.0):
         d0=rng.uniform(-income_scale, 0.0, size=n),
         d1=rng.uniform(-income_scale, 0.0, size=n),
     )
+
+
+def ill_conditioned_specs(rng: np.random.Generator, count: int):
+    """Models near the edge of the float solve, one at a time.
+
+    Four in five have n in 1..4, the rest n in 5..60. A random share of
+    rows has its boundary mass p01 scaled by 1e-9..1e-15 and is then
+    renormalized, so absorption takes up to ~1e15 steps; incomes are scaled
+    by 10**U(0, 308) or, half the time, 10**U(300, 308.25), up to ~1.8e308.
+    """
+    from tuning import ChainSpec
+
+    for _ in range(count):
+        n = int(rng.integers(1, 5)) if rng.random() < 0.8 else int(rng.integers(5, 61))
+        rows = rng.dirichlet(np.ones(n + 2), size=n)
+        scaled = rng.random(n) < rng.random()
+        rows[scaled, :2] *= 10.0 ** -rng.uniform(9.0, 15.0, size=(int(scaled.sum()), 1))
+        rows /= rows.sum(axis=1, keepdims=True)
+        exponent = rng.uniform(0.0, 308.0) if rng.random() < 0.5 else rng.uniform(300.0, 308.25)
+        yield ChainSpec(
+            n_internal=n,
+            p00=rows[:, 2:],
+            p01=rows[:, :2],
+            c=rng.uniform(-1.0, 1.0, size=n) * 10.0**exponent,
+            d0=-np.ones(n),
+            d1=-np.ones(n),
+        )
 
 
 def random_strategy(rng: np.random.Generator, n: int):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import dataclasses
 
 import numpy as np
@@ -21,8 +22,35 @@ from tuning import (
 from tuning.absorption import POSITIVITY_EPS
 
 from conftest import OVERFLOW_RESIDUAL, REF_B, REF_FUNDAMENTAL, REF_R
-from oracles import exact_analysis, mc_absorption, neumann_fundamental, random_spec
+from oracles import (
+    exact_analysis,
+    ill_conditioned_specs,
+    ladder_analysis,
+    mc_absorption,
+    neumann_fundamental,
+    random_spec,
+)
 from strats import chain_specs
+
+
+def stacked_column_spec() -> ChainSpec:
+    """I - P00 with one singular value of 1e-9: the probability columns
+    solve to ~1e9 and leave a residual ~3e-8, far above their bound 1e-10
+    but below 1e-10 * max|c| ~ 2e-2, the bound a single check on the
+    stacked rhs would apply; the c column itself is well solved."""
+    rng = np.random.default_rng(0)
+    n = 6
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a = (u * np.array([1.0] * (n - 1) + [1e-9])) @ v.T
+    return ChainSpec(
+        n_internal=n,
+        p00=np.eye(n) - a,
+        p01=np.full((n, 2), 0.5),
+        c=1e8 * (a @ np.ones(n)),
+        d0=-np.ones(n),
+        d1=-np.ones(n),
+    )
 
 
 class TestFundamentalSolve:
@@ -46,26 +74,19 @@ class TestFundamentalSolve:
             fundamental_solve(np.array([[1.0]]), np.array([1.0]))
 
     def test_each_stacked_column_keeps_its_own_bound(self):
-        # I - P00 with one singular value of 1e-9: the probability columns
-        # solve to ~1e9 and leave a residual ~3e-8, far above their bound
-        # 1e-10 but below 1e-10 * max|c| ~ 2e-2, the bound a single check on
-        # the stacked rhs would apply; the c column itself is well solved
-        rng = np.random.default_rng(0)
-        n = 6
-        u, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        v, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        a = (u * np.array([1.0] * (n - 1) + [1e-9])) @ v.T
-        spec = ChainSpec(
-            n_internal=n,
-            p00=np.eye(n) - a,
-            p01=np.full((n, 2), 0.5),
-            c=1e8 * (a @ np.ones(n)),
-            d0=-np.ones(n),
-            d1=-np.ones(n),
-        )
+        spec = stacked_column_spec()
         fundamental_solve(spec.p00, spec.c)
         with pytest.raises(SingularSystemError, match="exceeds bound 1.000e-10"):
             analyze_chain(spec)
+
+    @pytest.mark.parametrize("rhs, error", [
+        ([[1e300, 1.0]], NumericOverflowError),  # the second column meets its bound: I - P00 is sound
+        ([[1e300, 1e300]], SingularSystemError),  # no column meets its bound
+    ], ids=["overflow", "singular"])
+    def test_a_miss_is_overflow_only_beside_a_met_column(self, rhs, error):
+        # I - P00 = 2^-52 exactly: 1e300 solves to inf, 1.0 to 2^52 exactly
+        with pytest.raises(error):
+            fundamental_solve(np.array([[1.0 - 2.0**-52]]), np.array(rhs))
 
     def test_vector_and_matrix_rhs(self, reference_spec):
         vec = fundamental_solve(reference_spec.p00, reference_spec.c)
@@ -182,6 +203,25 @@ class TestAnalyzeChain:
             analyze_chain(spec)
 
 
+class TestSolveClassification:
+    def test_single_solve_classifies_as_the_refined_ladder(self):
+        # the same error code as the three-solve ladder on every model, and
+        # bitwise the same b and r on every success
+        codes = collections.Counter()
+        for spec in ill_conditioned_specs(np.random.default_rng(20), 2400):
+            code, b, r = ladder_analysis(spec)
+            try:
+                analysis = analyze_chain(spec)
+            except (NumericOverflowError, SingularSystemError) as exc:
+                assert exc.code == code
+            else:
+                assert code == "ok"
+                assert analysis.b.tobytes() == b.tobytes()
+                assert analysis.r.tobytes() == r.tobytes()
+            codes[code] += 1
+        assert min(codes["ok"], codes["OVERFLOW"], codes["SINGULAR_SYSTEM"]) >= 150, codes
+
+
 class TestAnalysisIsSolvedOncePerSpec:
     def test_same_object_on_every_call(self, reference_spec):
         assert analyze_chain(reference_spec) is analyze_chain(reference_spec)
@@ -207,8 +247,31 @@ class TestAnalysisIsSolvedOncePerSpec:
         for attempt in (1, 2):
             with pytest.raises(NumericOverflowError):
                 analyze_chain(spec)
-            assert len(solves) == 2 * attempt  # the stacked solve, then P01 alone
+            assert len(solves) == attempt
         assert set(vars(spec)) == {f.name for f in dataclasses.fields(spec)}
+
+    @pytest.mark.parametrize("make, error", [
+        (lambda ref: ref, None),
+        (lambda ref: ChainSpec(**OVERFLOW_RESIDUAL), NumericOverflowError),
+        (lambda ref: dataclasses.replace(ref, c=[1e308, 1e308]), NumericOverflowError),
+        (lambda ref: stacked_column_spec(), SingularSystemError),
+    ], ids=["ok", "overflow-residual", "overflow-r", "singular"])
+    def test_one_solve_whatever_the_outcome(self, reference_spec, solves, monkeypatch, make, error):
+        spec = make(reference_spec)
+        factorizations = []
+        solve = np.linalg.solve
+
+        def counted(a, b):
+            factorizations.append(b.shape)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        if error is None:
+            analyze_chain(spec)
+        else:
+            with pytest.raises(error):
+                analyze_chain(spec)
+        assert solves == factorizations == [(spec.n_internal, 3)]
 
     def test_documents_and_repr_are_unchanged(self, reference_spec):
         doc, text = to_doc(reference_spec), repr(reference_spec)

@@ -17,10 +17,12 @@ from tuning import (
     Strategy,
     analyze_chain,
     degenerate_strategy,
+    embedded_transition,
     indicator,
     sample_trajectory,
     simulate,
     simulate_replicated,
+    visit_income,
 )
 from tuning.simulator import _Picker, _run_stream
 
@@ -191,6 +193,26 @@ class TestStrategyLength:
         with pytest.raises(ValueError, match=message):
             indicator(strategy, reference_spec, analyze_chain(reference_spec))
         with pytest.raises(ValueError, match=message):
+            run(reference_spec, strategy)
+
+    @pytest.mark.parametrize(
+        "alpha", [[0.5, 0.3], [-0.5, 1.5], [np.nan, 0.5]], ids=["sum", "negative", "nan"]
+    )
+    @pytest.mark.parametrize("side", ["alpha0", "alpha1"])
+    @pytest.mark.parametrize("run", [
+        lambda spec, strategy: indicator(strategy, spec, analyze_chain(spec), "embedded"),
+        lambda spec, strategy: indicator(strategy, spec, analyze_chain(spec), "ratio"),
+        lambda spec, strategy: indicator(strategy, spec, analyze_chain(spec), "fractional"),
+        lambda spec, strategy: embedded_transition(strategy, analyze_chain(spec)),
+        lambda spec, strategy: visit_income(strategy, spec, analyze_chain(spec)),
+        lambda spec, strategy: simulate(spec, strategy, 100, seed=0),
+        lambda spec, strategy: sample_trajectory(spec, strategy, 50, seed=0),
+    ], ids=[
+        "embedded", "ratio", "fractional", "embedded_transition", "visit_income", "simulate", "trajectory",
+    ])
+    def test_a_strategy_that_is_not_a_distribution_is_rejected(self, reference_spec, run, side, alpha):
+        strategy = Strategy(**{"alpha0": [0.5, 0.5], "alpha1": [0.5, 0.5], side: alpha})
+        with pytest.raises(ValueError, match=f"strategy {side} must be non-negative and sum to 1"):
             run(reference_spec, strategy)
 
 
