@@ -33,7 +33,7 @@ import numpy as np
 from .absorption import analyze_chain, check_positivity
 from .errors import NumericOverflowError, PositivityError
 from .model import ChainSpec
-from .stationary import _coefficient_tables, _ratio_values, _rewards
+from .stationary import _coefficient_tables, _ratio, _rewards
 from .stationary import cost_coefficients  # noqa: F401 - perfbench patches this name here
 
 SIGNS = {"maximize": 1.0, "minimize": -1.0}
@@ -43,6 +43,7 @@ DOMINANCE_TOL = 1e-9
 # times max|g| + |h|: a first-order error analysis of the q-values (2 each)
 # and the table entries (4 each) needs 14
 ROUNDOFF_ULPS = 16.0
+CHUNK_ELEMENTS = 2**17  # doubles in refutation's reused draw buffer (1 MiB)
 
 
 @dataclass(frozen=True)
@@ -71,6 +72,13 @@ class RefutationReport:
     best_observed: float | None
     gap: float | None
     violations: int
+
+
+def _sign(direction: str) -> float:
+    """+1.0 to maximize, -1.0 to minimize; ValueError for any other direction."""
+    if direction not in DIRECTIONS:
+        raise ValueError(f"unknown direction {direction!r}, expected one of {DIRECTIONS}")
+    return SIGNS[direction]
 
 
 def _pair_value(g0, g1, b0, b1, m0: int, m1: int) -> float:
@@ -129,8 +137,7 @@ def solve_tuning(spec: ChainSpec, direction: str = "maximize") -> OptimalControl
     Strict positivity of the absorption probabilities is checked first
     and a PositivityError raised if it fails.
     """
-    if direction not in DIRECTIONS:
-        raise ValueError(f"unknown direction {direction!r}, expected one of {DIRECTIONS}")
+    s = _sign(direction)
     analysis = analyze_chain(spec)
     positivity = check_positivity(analysis)
     if not positivity.ok:
@@ -141,7 +148,6 @@ def solve_tuning(spec: ChainSpec, direction: str = "maximize") -> OptimalControl
         )
     # negating the incomes negates every table entry exactly, so the
     # minimum is found as the maximum of the negated problem
-    s = SIGNS[direction]
     g0, g1 = _rewards(spec, analysis)
     with np.errstate(over="ignore", invalid="ignore"):
         rows, cols = _candidates(s * g0, s * g1, analysis.b[:, 0], analysis.b[:, 1])
@@ -158,17 +164,22 @@ def solve_tuning(spec: ChainSpec, direction: str = "maximize") -> OptimalControl
     return OptimalControl(direction, int(rows[i0]) + 2, int(cols[i1]) + 2, float(block[i0, i1]))
 
 
-def _simplex_rows(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
-    """Uniform draws from the probability simplex (flat Dirichlet), one per row."""
-    x = rng.standard_exponential((rows, n))
-    sums = x.sum(axis=1)
-    while True:
-        bad = sums == 0.0
-        if not bad.any():
-            break
-        x[bad] = rng.standard_exponential((int(bad.sum()), n))
-        sums = x.sum(axis=1)
-    return x / sums[:, None]
+def _simplex_dots(rng: np.random.Generator, u, v, out_u: np.ndarray, out_v: np.ndarray) -> None:
+    """Store alpha @ u and alpha @ v for a flat-Dirichlet alpha per entry, drawn in
+    order into one buffer of CHUNK_ELEMENTS // n rows, a multiple of 8 and at least 8
+    (a fixed count starves small n); a row summing to 0 is redrawn within its chunk."""
+    n, samples = len(u), len(out_u)
+    rows = max(8, CHUNK_ELEMENTS // n // 8 * 8)
+    buf = np.empty((min(rows, samples), n))
+    for start in range(0, samples, rows):
+        x = buf[: min(rows, samples - start)]
+        rng.standard_exponential(out=x)
+        while not (sums := x.sum(axis=1)).all():
+            bad = sums == 0.0
+            x[bad] = rng.standard_exponential((int(bad.sum()), n))
+        x /= sums[:, None]
+        np.matmul(x, u, out=out_u[start : start + len(x)])
+        np.matmul(x, v, out=out_v[start : start + len(x)])
 
 
 def refute_with_random_strategies(
@@ -180,30 +191,31 @@ def refute_with_random_strategies(
     """Try to beat a claimed optimum with random strategies.
 
     Draws ``samples`` independent strategy pairs uniformly from the
-    simplices (alpha0 for all samples first, then alpha1), evaluates the
-    long-run income for every pair in a vectorized single pass, and
-    reports anything beyond ``control.value`` by more than DOMINANCE_TOL.
-    Deterministic for fixed (spec, control, samples, seed).
+    simplices (alpha0 for all samples first, then alpha1) in chunks of about
+    1 MiB, so memory is O(samples), evaluates the long-run income of every
+    pair, and reports anything beyond ``control.value`` by more than
+    DOMINANCE_TOL. Deterministic for fixed (spec, control, samples, seed).
     """
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    best, gap, violations = None, None, 0
-    if samples > 0:
-        analysis = analyze_chain(spec)
-        rng = np.random.default_rng(seed)
-        alpha0 = _simplex_rows(rng, samples, spec.n_internal)
-        alpha1 = _simplex_rows(rng, samples, spec.n_internal)
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = _ratio_values(alpha0, alpha1, spec, analysis)
-        if not np.isfinite(values).all():
-            raise NumericOverflowError("a sampled strategy's value overflowed the float range")
-        s = SIGNS[control.direction]
-        best = s * float(np.max(s * values))
-        violations = int((s * values > s * control.value + DOMINANCE_TOL).sum())
-        gap = s * control.value - s * best  # not s * (value - best), which is -0.0 at a zero gap
-    return RefutationReport(
-        samples=samples, seed=seed, tolerance=DOMINANCE_TOL,
-        best_observed=best, gap=gap, violations=violations,
-    )
+    s = _sign(control.direction)
+    if not np.isfinite(control.value):
+        raise ValueError(f"control value must be finite, got {control.value!r}")
+    if samples == 0:
+        return RefutationReport(samples, seed, DOMINANCE_TOL, None, None, 0)
+    analysis = analyze_chain(spec)
+    g0, g1 = _rewards(spec, analysis)
+    rho0, to1, rho1, to0 = (np.empty(samples) for _ in range(4))  # before any draw: fail at once
+    rng = np.random.default_rng(seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _simplex_dots(rng, g0, analysis.b[:, 1], rho0, to1)
+        _simplex_dots(rng, g1, analysis.b[:, 0], rho1, to0)
+        values = _ratio(rho0, rho1, to0, to1)
+    if not np.isfinite(values).all():
+        raise NumericOverflowError("a sampled strategy's value overflowed the float range")
+    best = s * float(np.max(s * values))
+    violations = int((s * values > s * control.value + DOMINANCE_TOL).sum())
+    gap = s * control.value - s * best  # not s * (value - best), which is -0.0 at a zero gap
+    return RefutationReport(samples, seed, DOMINANCE_TOL, best, gap, violations)

@@ -116,15 +116,12 @@ def _coefficient_tables(
     return a, bt
 
 
-def _ratio_values(alpha0: np.ndarray, alpha1: np.ndarray, spec: ChainSpec, analysis: AbsorptionAnalysis):
-    """Ratio route for one strategy, shape (n,) alphas, or for a batch of
-    strategies, shape (k, n) alphas giving k values."""
-    to0 = alpha1 @ analysis.b[:, 0]
-    to1 = alpha0 @ analysis.b[:, 1]
+def _ratio(rho0, rho1, to0, to1):
+    """Ratio route from rho_i = alpha_i @ g_i, to0 = alpha1 @ b[:, 0] and
+    to1 = alpha0 @ b[:, 1]: scalars, or arrays giving one value per strategy."""
     off = to0 + to1
     _require_switching(off)
-    g0, g1 = _rewards(spec, analysis)
-    return ((alpha0 @ g0) * to0 + (alpha1 @ g1) * to1) / off
+    return (rho0 * to0 + rho1 * to1) / off
 
 
 def cost_coefficients(spec: ChainSpec, analysis: AbsorptionAnalysis) -> CostCoefficients:
@@ -170,7 +167,8 @@ def indicator(
             pi = stationary_distribution(embedded_transition(strategy, analysis))
             value = float(pi @ visit_income(strategy, spec, analysis))
         elif route == "ratio":
-            value = float(_ratio_values(strategy.alpha0, strategy.alpha1, spec, analysis))
+            (g0, g1), a0, a1 = _rewards(spec, analysis), strategy.alpha0, strategy.alpha1
+            value = float(_ratio(a0 @ g0, a1 @ g1, a1 @ analysis.b[:, 0], a0 @ analysis.b[:, 1]))
         else:
             a, bt = _coefficient_tables(spec, analysis)
             weights = np.outer(strategy.alpha0, strategy.alpha1)

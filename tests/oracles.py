@@ -6,7 +6,9 @@ fundamental matrix is re-derived as a truncated power series, and
 absorption statistics come from a vectorized batch random walk that
 shares no code with the sequential simulator. ``ladder_analysis`` keeps
 an earlier release's refined, three-solve classification of a failed
-solve as the reference for the package's single solve.
+solve as the reference for the package's single solve, and
+``full_matrix_refutation`` keeps its refutation, which drew every strategy
+matrix whole, as the reference for the package's chunked one.
 """
 
 from __future__ import annotations
@@ -195,6 +197,53 @@ def ladder_analysis(spec):
                 return "SINGULAR_SYSTEM", None, None
         return "OVERFLOW", None, None
     return "ok", x[:, :2], x[:, 2]
+
+
+def _simplex_rows(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
+    """Uniform draws from the probability simplex (flat Dirichlet), one per row."""
+    x = rng.standard_exponential((rows, n))
+    sums = x.sum(axis=1)
+    while True:
+        bad = sums == 0.0
+        if not bad.any():
+            break
+        x[bad] = rng.standard_exponential((int(bad.sum()), n))
+        sums = x.sum(axis=1)
+    return x / sums[:, None]
+
+
+def _ratio_values(alpha0: np.ndarray, alpha1: np.ndarray, spec, analysis):
+    """Ratio route for one strategy, shape (n,) alphas, or for a batch of
+    strategies, shape (k, n) alphas giving k values."""
+    from tuning.stationary import _require_switching, _rewards
+
+    to0 = alpha1 @ analysis.b[:, 0]
+    to1 = alpha0 @ analysis.b[:, 1]
+    off = to0 + to1
+    _require_switching(off)
+    g0, g1 = _rewards(spec, analysis)
+    return ((alpha0 @ g0) * to0 + (alpha1 @ g1) * to1) / off
+
+
+def full_matrix_refutation(spec, control, samples: int, seed: int):
+    """An earlier release's refute_with_random_strategies, for samples > 0:
+    two whole (samples, n) draws evaluated in one batch."""
+    from tuning import RefutationReport, analyze_chain
+    from tuning.optimizer import DOMINANCE_TOL, SIGNS
+
+    rng = np.random.default_rng(seed)
+    alpha0 = _simplex_rows(rng, samples, spec.n_internal)
+    alpha1 = _simplex_rows(rng, samples, spec.n_internal)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _ratio_values(alpha0, alpha1, spec, analyze_chain(spec))
+    s = SIGNS[control.direction]
+    best = s * float(np.max(s * values))
+    violations = int((s * values > s * control.value + DOMINANCE_TOL).sum())
+    gap = s * control.value - s * best
+    return RefutationReport(
+        samples=samples, seed=seed, tolerance=DOMINANCE_TOL,
+        best_observed=best, gap=gap, violations=violations,
+    )
 
 
 # ---------------------------------------------------------------------------

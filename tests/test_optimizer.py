@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import tuning.optimizer
 from tuning import (
     ChainSpec,
     NumericOverflowError,
+    OptimalControl,
     PositivityError,
     analyze_chain,
     cost_coefficients,
@@ -19,7 +22,7 @@ from tuning import (
 )
 
 from conftest import OVERFLOW_REWARD, OVERFLOW_TABLE
-from oracles import exact_tables, random_spec
+from oracles import exact_tables, full_matrix_refutation, random_spec
 from strats import chain_specs
 
 
@@ -281,3 +284,76 @@ class TestRefutation:
                 spec, control, 2_000, seed=int(rng.integers(0, 2**32))
             )
             assert report.violations == 0
+
+    @pytest.mark.parametrize(
+        "control, message",
+        [
+            (OptimalControl("max", 3, 3, 1.0), r"^unknown direction 'max', expected one of \('maximize', 'minimize'\)$"),
+            (OptimalControl("maximize", 3, 3, float("nan")), "^control value must be finite, got nan$"),
+            (OptimalControl("minimize", 2, 2, float("-inf")), "^control value must be finite, got -inf$"),
+        ],
+        ids=["direction", "nan", "inf"],
+    )
+    def test_bad_control_rejected_before_any_draw(self, reference_spec, monkeypatch, control, message):
+        def no_draw(*args):
+            raise AssertionError("drew strategies for a bad control")
+
+        monkeypatch.setattr(tuning.optimizer, "_simplex_dots", no_draw)
+        with pytest.raises(ValueError, match=message):
+            refute_with_random_strategies(reference_spec, control, 50, seed=1)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 300])
+    def test_chunked_refutation_matches_full_matrix_draw(self, n):
+        rows = max(8, tuning.optimizer.CHUNK_ELEMENTS // n // 8 * 8)
+        spec = random_spec(np.random.default_rng(n), n)
+        table = c_table(spec)
+        for samples in (1, rows - 1, rows, rows + 1, 3 * rows + 5):
+            for direction in ("maximize", "minimize"):
+                # the optimum, and a value inside the table's range that many samples beat
+                optimum = solve_tuning(spec, direction)
+                inside = OptimalControl(direction, 2, 2, float((table.min() + table.max()) / 2))
+                for control in (optimum, inside):
+                    seed = samples + n
+                    got = refute_with_random_strategies(spec, control, samples, seed)
+                    want = full_matrix_refutation(spec, control, samples, seed)
+                    assert got.violations == want.violations
+                    # a per-sample value may differ in its last bit, where the
+                    # batch's matrix-vector product rounds in another order
+                    ulp = np.spacing(max(abs(want.best_observed), abs(control.value)))
+                    assert abs(got.best_observed - want.best_observed) <= 4 * ulp
+                    assert abs(got.gap - want.gap) <= 4 * ulp
+
+    def test_traced_memory_is_one_chunk_not_the_sample_matrix(self):
+        spec = random_spec(np.random.default_rng(1500), 1500)
+        control = solve_tuning(spec)  # factorizes outside the traced call
+        tracemalloc.start()
+        try:
+            refute_with_random_strategies(spec, control, 2_000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # two (2000, 1500) draws would be ~46 MiB
+        assert peak < 10 * 2**20
+
+    def test_zero_sum_row_is_drawn_again(self):
+        class FirstDrawHasAZeroRow:
+            def __init__(self):
+                self.rng, self.sizes = np.random.default_rng(5), []
+
+            def standard_exponential(self, size=None, out=None):
+                self.sizes.append(out.shape if size is None else size)
+                x = self.rng.standard_exponential(size, out=out)
+                if len(self.sizes) == 1:
+                    x[1] = 0.0
+                return x
+
+        samples, n = 4, 3
+        sums, first = np.empty(samples), np.empty(samples)
+        stub = FirstDrawHasAZeroRow()
+        tuning.optimizer._simplex_dots(stub, np.ones(n), np.eye(n)[0], sums, first)
+        assert stub.sizes == [(samples, n), (1, n)]
+        assert np.all(np.abs(sums - 1.0) <= n * np.finfo(float).eps)
+        replay = np.random.default_rng(5)
+        x = replay.standard_exponential((samples, n))
+        x[1] = replay.standard_exponential(n)
+        assert np.array_equal(first, (x / x.sum(axis=1)[:, None])[:, 0])
