@@ -26,6 +26,7 @@ table is never built on the solve path; it stays available as
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +80,12 @@ def _sign(direction: str) -> float:
     if direction not in DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}, expected one of {DIRECTIONS}")
     return SIGNS[direction]
+
+
+def _require_states(spec: ChainSpec) -> None:
+    """ValueError unless the chain has an internal state to restart at."""
+    if spec.n_internal < 1:
+        raise ValueError(f"n_internal must be >= 1, got {spec.n_internal}")
 
 
 def _pair_value(g0, g1, b0, b1, m0: int, m1: int) -> float:
@@ -138,6 +145,7 @@ def solve_tuning(spec: ChainSpec, direction: str = "maximize") -> OptimalControl
     and a PositivityError raised if it fails.
     """
     s = _sign(direction)
+    _require_states(spec)
     analysis = analyze_chain(spec)
     positivity = check_positivity(analysis)
     if not positivity.ok:
@@ -165,21 +173,43 @@ def solve_tuning(spec: ChainSpec, direction: str = "maximize") -> OptimalControl
 
 
 def _simplex_dots(rng: np.random.Generator, u, v, out_u: np.ndarray, out_v: np.ndarray) -> None:
-    """Store alpha @ u and alpha @ v for a flat-Dirichlet alpha per entry, drawn in
-    order into one buffer of CHUNK_ELEMENTS // n rows, a multiple of 8 and at least 8
-    (a fixed count starves small n); a row summing to 0 is redrawn within its chunk."""
+    """Store alpha @ u and alpha @ v for a flat-Dirichlet alpha per entry.
+
+    Rows x of standard exponentials are drawn in order into one buffer of
+    CHUNK_ELEMENTS // n rows, a multiple of 8 and at least 8 (a fixed count
+    starves small n); a row summing to 0 is redrawn within its chunk. alpha is
+    x / x.sum(), but the chunk is never divided: each row's two dot products
+    are, and only a row whose quotient is not finite (x @ w overflowed where
+    alpha @ w does not) is evaluated again on alpha itself. For n = 1 the
+    simplex is the point alpha = [1], stored exactly with no draw, where
+    (x * u) / x would round. Writes nothing but ``out_u`` and
+    ``out_v``, so calls on distinct outputs may run in parallel threads.
+    """
     n, samples = len(u), len(out_u)
+    if n == 1:
+        out_u.fill(u[0])
+        out_v.fill(v[0])
+        return
     rows = max(8, CHUNK_ELEMENTS // n // 8 * 8)
     buf = np.empty((min(rows, samples), n))
-    for start in range(0, samples, rows):
-        x = buf[: min(rows, samples - start)]
-        rng.standard_exponential(out=x)
-        while not (sums := x.sum(axis=1)).all():
-            bad = sums == 0.0
-            x[bad] = rng.standard_exponential((int(bad.sum()), n))
-        x /= sums[:, None]
-        np.matmul(x, u, out=out_u[start : start + len(x)])
-        np.matmul(x, v, out=out_v[start : start + len(x)])
+    # the error state is per thread: a side thread starts with numpy's default
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, samples, rows):
+            x = buf[: min(rows, samples - start)]
+            rng.standard_exponential(out=x)
+            while not (sums := x.sum(axis=1)).all():
+                bad = sums == 0.0
+                x[bad] = rng.standard_exponential((int(bad.sum()), n))
+            for w, out in ((u, out_u), (v, out_v)):
+                chunk = out[start : start + len(x)]
+                np.matmul(x, w, out=chunk)
+                chunk /= sums
+                # x @ w weighs w by about n where alpha @ w weighs it by 1, so
+                # it can overflow where alpha @ w is finite: redo those rows
+                # on the normalized draws
+                bad = ~np.isfinite(chunk)
+                if bad.any():
+                    chunk[bad] = (x[bad] / sums[bad, None]) @ w
 
 
 def refute_with_random_strategies(
@@ -191,15 +221,19 @@ def refute_with_random_strategies(
     """Try to beat a claimed optimum with random strategies.
 
     Draws ``samples`` independent strategy pairs uniformly from the
-    simplices (alpha0 for all samples first, then alpha1) in chunks of about
-    1 MiB, so memory is O(samples), evaluates the long-run income of every
-    pair, and reports anything beyond ``control.value`` by more than
-    DOMINANCE_TOL. Deterministic for fixed (spec, control, samples, seed).
+    simplices, evaluates the long-run income of every pair, and reports
+    anything beyond ``control.value`` by more than DOMINANCE_TOL. alpha0 is
+    drawn from the stream SeedSequence(seed, spawn_key=(0,)) and alpha1 from
+    spawn_key=(1,); the two are drawn at once, alpha1 in a side thread, each
+    in chunks of about 1 MiB, so memory is O(samples). Each stream writes
+    only its own outputs, so the report is the same for fixed (spec,
+    control, samples, seed) whatever the scheduling of the threads.
     """
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    _require_states(spec)
     s = _sign(control.direction)
     if not np.isfinite(control.value):
         raise ValueError(f"control value must be finite, got {control.value!r}")
@@ -208,10 +242,29 @@ def refute_with_random_strategies(
     analysis = analyze_chain(spec)
     g0, g1 = _rewards(spec, analysis)
     rho0, to1, rho1, to0 = (np.empty(samples) for _ in range(4))  # before any draw: fail at once
-    rng = np.random.default_rng(seed)
+    rng0, rng1 = (
+        np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(key,))))
+        for key in (0, 1)
+    )
+    errors: list[BaseException] = []
+
+    def draw_alpha1() -> None:
+        try:
+            _simplex_dots(rng1, g1, analysis.b[:, 0], rho1, to0)
+        except BaseException as exc:  # handed to the caller, which raises it after join
+            errors.append(exc)
+
+    # the caller always joins; the daemon flag only keeps a join cut short by a
+    # second interrupt from holding the interpreter open at exit
+    side = threading.Thread(target=draw_alpha1, name="refute-alpha1", daemon=True)
+    side.start()
+    try:
+        _simplex_dots(rng0, g0, analysis.b[:, 1], rho0, to1)
+    finally:
+        side.join()
+    if errors:
+        raise errors[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        _simplex_dots(rng, g0, analysis.b[:, 1], rho0, to1)
-        _simplex_dots(rng, g1, analysis.b[:, 0], rho1, to0)
         values = _ratio(rho0, rho1, to0, to1)
     if not np.isfinite(values).all():
         raise NumericOverflowError("a sampled strategy's value overflowed the float range")

@@ -164,8 +164,10 @@ def indicator(
         raise ValueError(f"unknown route {route!r}, expected one of {ROUTES}")
     with np.errstate(over="ignore", invalid="ignore"):
         if route == "embedded":
+            # rewards first, as on the other routes, so all three fail alike
+            rho = visit_income(strategy, spec, analysis)
             pi = stationary_distribution(embedded_transition(strategy, analysis))
-            value = float(pi @ visit_income(strategy, spec, analysis))
+            value = float(pi @ rho)
         elif route == "ratio":
             (g0, g1), a0, a1 = _rewards(spec, analysis), strategy.alpha0, strategy.alpha1
             value = float(_ratio(a0 @ g0, a1 @ g1, a1 @ analysis.b[:, 0], a0 @ analysis.b[:, 1]))

@@ -7,8 +7,9 @@ absorption statistics come from a vectorized batch random walk that
 shares no code with the sequential simulator. ``ladder_analysis`` keeps
 an earlier release's refined, three-solve classification of a failed
 solve as the reference for the package's single solve, and
-``full_matrix_refutation`` keeps its refutation, which drew every strategy
-matrix whole, as the reference for the package's chunked one.
+``full_matrix_refutation`` keeps its refutation, which drew and normalized
+every strategy matrix whole on one thread, as the reference for the
+package's chunked, threaded one.
 """
 
 from __future__ import annotations
@@ -227,13 +228,20 @@ def _ratio_values(alpha0: np.ndarray, alpha1: np.ndarray, spec, analysis):
 
 def full_matrix_refutation(spec, control, samples: int, seed: int):
     """An earlier release's refute_with_random_strategies, for samples > 0:
-    two whole (samples, n) draws evaluated in one batch."""
+    two whole (samples, n) draws, normalized and evaluated in one batch, on
+    one thread. alpha0 and alpha1 come from the PCG64 streams of
+    SeedSequence(seed, spawn_key=(0,)) and (1,)."""
     from tuning import RefutationReport, analyze_chain
     from tuning.optimizer import DOMINANCE_TOL, SIGNS
 
-    rng = np.random.default_rng(seed)
-    alpha0 = _simplex_rows(rng, samples, spec.n_internal)
-    alpha1 = _simplex_rows(rng, samples, spec.n_internal)
+    alpha0, alpha1 = (
+        _simplex_rows(
+            np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(key,)))),
+            samples,
+            spec.n_internal,
+        )
+        for key in (0, 1)
+    )
     with np.errstate(over="ignore", invalid="ignore"):
         values = _ratio_values(alpha0, alpha1, spec, analyze_chain(spec))
     s = SIGNS[control.direction]

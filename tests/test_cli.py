@@ -227,6 +227,18 @@ class TestSolveCommand:
         assert rep["violations"] == 0
         assert rep["gap"] >= -1e-9
 
+    def test_refutation_near_the_float_limit_is_finite(self, capsys, tmp_path):
+        path = write_json(tmp_path / "huge.json", {
+            "n_internal": 2, "p00": [[0, 0], [0, 0]], "p01": [[0.5, 0.5], [0.5, 0.5]],
+            "c": [0, 0], "d0": [1e308, 1e308], "d1": [1e308, 1e308],
+        })
+        status, out = run_cli(capsys, "solve", str(path), "--refute-samples", "100", "--seed", "1")
+        assert status == 0
+        doc = json.loads(out)
+        assert doc["value"] == 1e308
+        # every strategy is worth 1e308, so the gap is rounding alone
+        assert abs(doc["refutation"]["gap"]) <= 4 * np.spacing(1e308)
+
     def test_zero_minimize_gap_is_positive_zero(self, capsys, tmp_path):
         # one state, one strategy: every sample equals the minimum exactly
         path = write_json(tmp_path / "one.json", {
@@ -473,6 +485,17 @@ class TestNumericFailureExits:
 
 
 class TestFloatRange:
+    @pytest.mark.parametrize("route", ["embedded", "ratio", "fractional"])
+    def test_overflowing_reward_of_a_degenerate_chain_fails_alike_on_every_route(self, capsys, tmp_path, route):
+        # the boundary chain never switches sides and the reward d0 + r overflows
+        path = write_json(tmp_path / "split.json", {
+            "n_internal": 2, "p00": [[0.0, 0.0], [0.0, 0.0]], "p01": [[1.0, 0.0], [0.0, 1.0]],
+            "c": [1.7e308, 1.0], "d0": [1.7e308, 1.0], "d1": [1.0, 1.0],
+        })
+        status, out = run_cli(capsys, "indicator", str(path), "--degenerate", "2", "3", "--route", route)
+        assert status == 3
+        assert json.loads(out)["error"]["code"] == "OVERFLOW"
+
     @pytest.mark.parametrize("model, argv", [
         ("reward", "indicator --degenerate 2 3"),
         ("reward", "indicator --degenerate 2 3 --route ratio"),

@@ -76,8 +76,8 @@ class TestKeyOrder:
             "samples": 100,
             "seed": 1,
             "tolerance": 1e-09,
-            "best_observed": 2.816934986131506,
-            "gap": 0.049731680535160194,
+            "best_observed": 2.8026879195610688,
+            "gap": 0.06397874710559748,
             "violations": 0,
         }
         assert list(doc["refutation"]) == [

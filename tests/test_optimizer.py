@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import dataclasses
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -255,6 +258,50 @@ class TestRefutation:
         second = refute_with_random_strategies(reference_spec, control, 2_000, seed=101)
         assert first == second
 
+    def test_no_internal_state_is_rejected_by_name(self):
+        # the library accepts the spec; validate_chain reports BAD_COUNT for it
+        spec = ChainSpec(n_internal=0, p00=np.zeros((0, 0)), p01=np.zeros((0, 2)), c=[], d0=[], d1=[])
+        message = "^n_internal must be >= 1, got 0$"
+        with pytest.raises(ValueError, match=message):
+            solve_tuning(spec)
+        with pytest.raises(ValueError, match=message):
+            refute_with_random_strategies(spec, OptimalControl("maximize", 2, 2, 1.0), 50, seed=1)
+
+    def test_concurrent_refutations_equal_sequential_ones(self):
+        spec = random_spec(np.random.default_rng(300), 300)
+        control = solve_tuning(spec)
+        samples, seeds = 2_000, [5, 6, 7, 8]  # several chunks per stream
+        serial = [refute_with_random_strategies(spec, control, samples, seed) for seed in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(seeds)) as pool:
+                futures = [pool.submit(refute_with_random_strategies, spec, control, samples, seed) for seed in seeds]
+                concurrent = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert concurrent == serial
+
+    def test_side_thread_error_is_raised_by_the_caller(self, reference_spec, monkeypatch):
+        class SideStreamFailed(Exception):
+            pass
+
+        control = solve_tuning(reference_spec)
+        caller, draw, threads = threading.get_ident(), tuning.optimizer._simplex_dots, []
+
+        def fail_off_the_calling_thread(*args):
+            threads.append(threading.get_ident())
+            if threads[-1] != caller:
+                raise SideStreamFailed("alpha1")
+            draw(*args)
+
+        monkeypatch.setattr(tuning.optimizer, "_simplex_dots", fail_off_the_calling_thread)
+        before = threading.active_count()
+        with pytest.raises(SideStreamFailed, match="^alpha1$"):
+            refute_with_random_strategies(reference_spec, control, 500, seed=2)
+        assert threading.active_count() == before
+        assert len(threads) == 2 and threads.count(caller) == 1
+
     def test_negative_samples_rejected(self, reference_spec):
         control = solve_tuning(reference_spec)
         with pytest.raises(ValueError, match="samples"):
@@ -322,6 +369,24 @@ class TestRefutation:
                     ulp = np.spacing(max(abs(want.best_observed), abs(control.value)))
                     assert abs(got.best_observed - want.best_observed) <= 4 * ulp
                     assert abs(got.gap - want.gap) <= 4 * ulp
+
+    @pytest.mark.parametrize("n", [2, 300])
+    @pytest.mark.parametrize("direction", ["maximize", "minimize"])
+    def test_rewards_near_the_float_limit_stay_finite(self, n, direction):
+        # a row of raw exponentials sums to about n, so x @ g overflows on
+        # many rows although every alpha @ g is at most 1e308
+        rewards = np.linspace(1e308, 5e307, n)
+        spec = ChainSpec(
+            n_internal=n, p00=np.zeros((n, n)), p01=np.full((n, 2), 0.5),
+            c=np.zeros(n), d0=rewards, d1=rewards[::-1],
+        )
+        control = solve_tuning(spec, direction)
+        got = refute_with_random_strategies(spec, control, 1_000, seed=n)
+        want = full_matrix_refutation(spec, control, 1_000, seed=n)
+        assert got.violations == want.violations == 0
+        ulp = np.spacing(max(abs(want.best_observed), abs(control.value)))
+        assert abs(got.best_observed - want.best_observed) <= 4 * ulp
+        assert abs(got.gap - want.gap) <= 4 * ulp
 
     def test_traced_memory_is_one_chunk_not_the_sample_matrix(self):
         spec = random_spec(np.random.default_rng(1500), 1500)
