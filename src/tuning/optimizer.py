@@ -63,7 +63,9 @@ class RefutationReport:
 
     ``gap`` measures how far the best random strategy stayed inside the
     optimum (nonnegative up to roundoff); ``violations`` counts samples
-    beyond the optimum by more than ``tolerance``, which is always
+    beyond the optimum by more than ``tolerance * max(1, |value|)``, a
+    tolerance relative to the optimum's size, so that a last-digit rounding
+    near the float limit is no violation. ``tolerance`` is always
     ``DOMINANCE_TOL``. Both are None/0 when no samples were drawn.
     """
 
@@ -88,11 +90,6 @@ def _require_states(spec: ChainSpec) -> None:
         raise ValueError(f"n_internal must be >= 1, got {spec.n_internal}")
 
 
-def _pair_value(g0, g1, b0, b1, m0: int, m1: int) -> float:
-    """Closed-form value of the pair, in the table's order of operations."""
-    return (g0[m0] * b0[m1] + b1[m0] * g1[m1]) / (b1[m0] + b0[m1])
-
-
 def _policy_iteration(g0, g1, b0, b1) -> tuple[float, float, np.ndarray, np.ndarray]:
     """Maximize the pair value; return the value, h and q-values of the last pair.
 
@@ -102,13 +99,13 @@ def _policy_iteration(g0, g1, b0, b1) -> tuple[float, float, np.ndarray, np.ndar
     steps in floating point as in exact arithmetic.
     """
     m0, m1 = int(np.argmax(g0)), int(np.argmax(g1))
-    value = _pair_value(g0, g1, b0, b1, m0, m1)
+    value = _ratio(g0[m0], g1[m1], b0[m1], b1[m0])
     while True:
         h = (g1[m1] - g0[m0]) / (b1[m0] + b0[m1])
         q0 = g0 + b1 * h
         q1 = g1 - b0 * h
         n0, n1 = int(np.argmax(q0)), int(np.argmax(q1))
-        improved = _pair_value(g0, g1, b0, b1, n0, n1)
+        improved = _ratio(g0[n0], g1[n1], b0[n1], b1[n0])
         if not improved > value:
             return value, h, q0, q1
         m0, m1, value = n0, n1, improved
@@ -175,15 +172,18 @@ def solve_tuning(spec: ChainSpec, direction: str = "maximize") -> OptimalControl
 def _simplex_dots(rng: np.random.Generator, u, v, out_u: np.ndarray, out_v: np.ndarray) -> None:
     """Store alpha @ u and alpha @ v for a flat-Dirichlet alpha per entry.
 
-    Rows x of standard exponentials are drawn in order into one buffer of
-    CHUNK_ELEMENTS // n rows, a multiple of 8 and at least 8 (a fixed count
-    starves small n); a row summing to 0 is redrawn within its chunk. alpha is
-    x / x.sum(), but the chunk is never divided: each row's two dot products
-    are, and only a row whose quotient is not finite (x @ w overflowed where
-    alpha @ w does not) is evaluated again on alpha itself. For n = 1 the
-    simplex is the point alpha = [1], stored exactly with no draw, where
-    (x * u) / x would round. Writes nothing but ``out_u`` and
-    ``out_v``, so calls on distinct outputs may run in parallel threads.
+    Rows x of negated standard exponentials, drawn by inversion as log U of
+    uniforms U, are drawn in order into one buffer of CHUNK_ELEMENTS // n
+    rows, a multiple of 8 and at least 8 (a fixed count starves small n).
+    log U < 0 for every U in (0, 1), so no row sums to 0; a row holding a
+    uniform of exactly 0 sums to -inf and is redrawn within its chunk. alpha
+    is x / x.sum(), where the signs cancel, but the chunk is never divided:
+    each row's two dot products are, and only a row whose quotient is not
+    finite (x @ w overflowed where alpha @ w does not) is evaluated again on
+    alpha itself. For n = 1 the simplex is the point alpha = [1], stored
+    exactly with no draw, where (x * u) / x would round. Writes nothing but
+    ``out_u`` and ``out_v``, so calls on distinct outputs may run in
+    parallel threads.
     """
     n, samples = len(u), len(out_u)
     if n == 1:
@@ -193,13 +193,13 @@ def _simplex_dots(rng: np.random.Generator, u, v, out_u: np.ndarray, out_v: np.n
     rows = max(8, CHUNK_ELEMENTS // n // 8 * 8)
     buf = np.empty((min(rows, samples), n))
     # the error state is per thread: a side thread starts with numpy's default
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for start in range(0, samples, rows):
             x = buf[: min(rows, samples - start)]
-            rng.standard_exponential(out=x)
-            while not (sums := x.sum(axis=1)).all():
-                bad = sums == 0.0
-                x[bad] = rng.standard_exponential((int(bad.sum()), n))
+            np.log(rng.random(out=x), out=x)
+            while not np.isfinite(sums := x.sum(axis=1)).all():
+                bad = ~np.isfinite(sums)
+                x[bad] = np.log(rng.random((int(bad.sum()), n)))
             for w, out in ((u, out_u), (v, out_v)):
                 chunk = out[start : start + len(x)]
                 np.matmul(x, w, out=chunk)
@@ -222,7 +222,8 @@ def refute_with_random_strategies(
 
     Draws ``samples`` independent strategy pairs uniformly from the
     simplices, evaluates the long-run income of every pair, and reports
-    anything beyond ``control.value`` by more than DOMINANCE_TOL. alpha0 is
+    anything beyond ``control.value`` by more than DOMINANCE_TOL *
+    max(1, |control.value|). alpha0 is
     drawn from the stream SeedSequence(seed, spawn_key=(0,)) and alpha1 from
     spawn_key=(1,); the two are drawn at once, alpha1 in a side thread, each
     in chunks of about 1 MiB, so memory is O(samples). Each stream writes
@@ -266,9 +267,12 @@ def refute_with_random_strategies(
         raise errors[0]
     with np.errstate(over="ignore", invalid="ignore"):
         values = _ratio(rho0, rho1, to0, to1)
+        # may round to inf within DOMINANCE_TOL of the float limit, where no
+        # finite value is a violation
+        bound = s * control.value + DOMINANCE_TOL * max(1.0, abs(control.value))
     if not np.isfinite(values).all():
         raise NumericOverflowError("a sampled strategy's value overflowed the float range")
     best = s * float(np.max(s * values))
-    violations = int((s * values > s * control.value + DOMINANCE_TOL).sum())
+    violations = int((s * values > bound).sum())
     gap = s * control.value - s * best  # not s * (value - best), which is -0.0 at a zero gap
     return RefutationReport(samples, seed, DOMINANCE_TOL, best, gap, violations)

@@ -201,15 +201,18 @@ def ladder_analysis(spec):
 
 
 def _simplex_rows(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
-    """Uniform draws from the probability simplex (flat Dirichlet), one per row."""
-    x = rng.standard_exponential((rows, n))
-    sums = x.sum(axis=1)
-    while True:
-        bad = sums == 0.0
-        if not bad.any():
-            break
-        x[bad] = rng.standard_exponential((int(bad.sum()), n))
+    """Uniform draws from the probability simplex (flat Dirichlet), one per
+    row: negated exponentials log U, normalized, where a row holding a
+    uniform of exactly 0 (its sum is -inf) is drawn again."""
+    with np.errstate(divide="ignore"):
+        x = np.log(rng.random((rows, n)))
         sums = x.sum(axis=1)
+        while True:
+            bad = ~np.isfinite(sums)
+            if not bad.any():
+                break
+            x[bad] = np.log(rng.random((int(bad.sum()), n)))
+            sums = x.sum(axis=1)
     return x / sums[:, None]
 
 
@@ -230,7 +233,8 @@ def full_matrix_refutation(spec, control, samples: int, seed: int):
     """An earlier release's refute_with_random_strategies, for samples > 0:
     two whole (samples, n) draws, normalized and evaluated in one batch, on
     one thread. alpha0 and alpha1 come from the PCG64 streams of
-    SeedSequence(seed, spawn_key=(0,)) and (1,)."""
+    SeedSequence(seed, spawn_key=(0,)) and (1,). A violation is a value
+    beyond the optimum by more than DOMINANCE_TOL * max(1, |value|)."""
     from tuning import RefutationReport, analyze_chain
     from tuning.optimizer import DOMINANCE_TOL, SIGNS
 
@@ -246,7 +250,7 @@ def full_matrix_refutation(spec, control, samples: int, seed: int):
         values = _ratio_values(alpha0, alpha1, spec, analyze_chain(spec))
     s = SIGNS[control.direction]
     best = s * float(np.max(s * values))
-    violations = int((s * values > s * control.value + DOMINANCE_TOL).sum())
+    violations = int((s * values > s * control.value + DOMINANCE_TOL * max(1.0, abs(control.value))).sum())
     gap = s * control.value - s * best
     return RefutationReport(
         samples=samples, seed=seed, tolerance=DOMINANCE_TOL,

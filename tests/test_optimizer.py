@@ -4,11 +4,13 @@ import dataclasses
 import sys
 import threading
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy import stats as scipy_stats
 
 import tuning.optimizer
 from tuning import (
@@ -388,6 +390,30 @@ class TestRefutation:
         assert abs(got.best_observed - want.best_observed) <= 4 * ulp
         assert abs(got.gap - want.gap) <= 4 * ulp
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_rounding_at_the_float_limit_is_no_violation(self, seed):
+        # every strategy is worth 1e308; a sample one ulp above it (~2e292)
+        # is rounding, far inside the relative tolerance
+        spec = ChainSpec(
+            n_internal=2, p00=np.zeros((2, 2)), p01=np.full((2, 2), 0.5),
+            c=np.zeros(2), d0=[1e308, 1e308], d1=[1e308, 1e308],
+        )
+        control = solve_tuning(spec)
+        got = refute_with_random_strategies(spec, control, 100, seed)
+        assert got.violations == full_matrix_refutation(spec, control, 100, seed).violations == 0
+        assert abs(got.gap) <= 4 * np.spacing(1e308)
+
+    def test_violations_count_beyond_a_tolerance_relative_to_the_value(self):
+        # one state: every sample equals the claimed value's pair exactly, so
+        # a claim just inside the relative tolerance holds and one outside fails
+        spec = ChainSpec(n_internal=1, p00=[[0.2]], p01=[[0.3, 0.5]], c=[1.0], d0=[-5e3], d1=[-2.5e3])
+        value = solve_tuning(spec).value
+        tol = tuning.optimizer.DOMINANCE_TOL * abs(value)
+        inside = refute_with_random_strategies(spec, OptimalControl("maximize", 2, 2, value - 0.5 * tol), 10, 1)
+        outside = refute_with_random_strategies(spec, OptimalControl("maximize", 2, 2, value - 2 * tol), 10, 1)
+        assert (inside.violations, outside.violations) == (0, 10)
+        assert inside.tolerance == outside.tolerance == 1e-9
+
     def test_traced_memory_is_one_chunk_not_the_sample_matrix(self):
         spec = random_spec(np.random.default_rng(1500), 1500)
         control = solve_tuning(spec)  # factorizes outside the traced call
@@ -400,25 +426,39 @@ class TestRefutation:
         # two (2000, 1500) draws would be ~46 MiB
         assert peak < 10 * 2**20
 
-    def test_zero_sum_row_is_drawn_again(self):
-        class FirstDrawHasAZeroRow:
+    def test_row_with_a_zero_uniform_is_drawn_again(self):
+        class FirstDrawHasAZero:
             def __init__(self):
                 self.rng, self.sizes = np.random.default_rng(5), []
 
-            def standard_exponential(self, size=None, out=None):
+            def random(self, size=None, out=None):
                 self.sizes.append(out.shape if size is None else size)
-                x = self.rng.standard_exponential(size, out=out)
+                u = self.rng.random(size, out=out)
                 if len(self.sizes) == 1:
-                    x[1] = 0.0
-                return x
+                    u[1, 2] = 0.0  # log 0 = -inf: row 1 sums to -inf
+                return u
 
         samples, n = 4, 3
         sums, first = np.empty(samples), np.empty(samples)
-        stub = FirstDrawHasAZeroRow()
-        tuning.optimizer._simplex_dots(stub, np.ones(n), np.eye(n)[0], sums, first)
+        stub = FirstDrawHasAZero()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            tuning.optimizer._simplex_dots(stub, np.ones(n), np.eye(n)[0], sums, first)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert stub.sizes == [(samples, n), (1, n)]
+        assert np.isfinite(sums).all() and np.isfinite(first).all()
         assert np.all(np.abs(sums - 1.0) <= n * np.finfo(float).eps)
         replay = np.random.default_rng(5)
-        x = replay.standard_exponential((samples, n))
-        x[1] = replay.standard_exponential(n)
+        u = replay.random((samples, n))
+        u[1] = replay.random(n)
+        x = np.log(u)
         assert np.array_equal(first, (x / x.sum(axis=1)[:, None])[:, 0])
+
+    @pytest.mark.parametrize("n", [2, 7, 300])
+    def test_marginal_is_beta_one_n_minus_one(self, n):
+        # one coordinate of a flat Dirichlet on n states is Beta(1, n - 1)
+        samples = 20_000
+        first, second = np.empty(samples), np.empty(samples)
+        rng = np.random.Generator(np.random.PCG64(n))
+        tuning.optimizer._simplex_dots(rng, np.eye(n)[0], np.eye(n)[1], first, second)
+        assert scipy_stats.kstest(first, scipy_stats.beta(1, n - 1).cdf).pvalue > 1e-3
