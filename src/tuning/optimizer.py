@@ -45,6 +45,7 @@ DOMINANCE_TOL = 1e-9
 # and the table entries (4 each) needs 14
 ROUNDOFF_ULPS = 16.0
 CHUNK_ELEMENTS = 2**17  # doubles in refutation's reused draw buffer (1 MiB)
+TARGET_LABELS = 4  # labels per side of refutation's targeted half
 
 
 @dataclass(frozen=True)
@@ -220,15 +221,18 @@ def refute_with_random_strategies(
 ) -> RefutationReport:
     """Try to beat a claimed optimum with random strategies.
 
-    Draws ``samples`` independent strategy pairs uniformly from the
-    simplices, evaluates the long-run income of every pair, and reports
-    anything beyond ``control.value`` by more than DOMINANCE_TOL *
-    max(1, |control.value|). alpha0 is
-    drawn from the stream SeedSequence(seed, spawn_key=(0,)) and alpha1 from
-    spawn_key=(1,); the two are drawn at once, alpha1 in a side thread, each
-    in chunks of about 1 MiB, so memory is O(samples). Each stream writes
-    only its own outputs, so the report is the same for fixed (spec,
-    control, samples, seed) whatever the scheduling of the threads.
+    Draws ``samples`` independent strategy pairs, evaluates the long-run
+    income of every pair, and reports anything beyond ``control.value`` by
+    more than DOMINANCE_TOL * max(1, |control.value|). The first ``samples
+    - samples // 2`` are flat on the simplices, alpha0 from the stream
+    SeedSequence(seed, spawn_key=(0,)) and alpha1 from spawn_key=(1,); the
+    rest are flat on the TARGET_LABELS labels per side with the claimed
+    pair's best q-values, where policy improvement finds a better pair if
+    there is one, from spawn_key=(2,) and (3,). alpha1's draws run in a
+    side thread at the same time as alpha0's, each in chunks of about 1 MiB,
+    so memory is O(samples). Each stream writes only its own outputs, so the
+    report is the same for fixed (spec, control, samples, seed) whatever the
+    scheduling of the threads.
     """
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
@@ -238,20 +242,35 @@ def refute_with_random_strategies(
     s = _sign(control.direction)
     if not np.isfinite(control.value):
         raise ValueError(f"control value must be finite, got {control.value!r}")
+    last = spec.n_internal + 1
+    for name, label in (("m0_star", control.m0_star), ("m1_star", control.m1_star)):
+        if not isinstance(label, (int, np.integer)) or not 2 <= label <= last:
+            raise ValueError(f"{name} must be an int in [2, {last}], got {label!r}")
     if samples == 0:
         return RefutationReport(samples, seed, DOMINANCE_TOL, None, None, 0)
     analysis = analyze_chain(spec)
     g0, g1 = _rewards(spec, analysis)
+    b0, b1 = analysis.b[:, 0], analysis.b[:, 1]
+    m0, m1 = control.m0_star - 2, control.m1_star - 2
+    # the ranking only picks labels to draw on, so a non-finite q-value
+    # (rewards near the float limit) costs power, not correctness; a stable
+    # sort of -q puts the lower label first among ties
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        h = (s * g1[m1] - s * g0[m0]) / (b1[m0] + b0[m1])
+        q0, q1 = s * g0 + b1 * h, s * g1 - b0 * h
+        top0, top1 = (np.argsort(-q, kind="stable")[:TARGET_LABELS] for q in (q0, q1))
     rho0, to1, rho1, to0 = (np.empty(samples) for _ in range(4))  # before any draw: fail at once
-    rng0, rng1 = (
+    rng0, rng1, rng0_top, rng1_top = (
         np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(key,))))
-        for key in (0, 1)
+        for key in (0, 1, 2, 3)
     )
+    flat = samples - samples // 2
     errors: list[BaseException] = []
 
     def draw_alpha1() -> None:
         try:
-            _simplex_dots(rng1, g1, analysis.b[:, 0], rho1, to0)
+            _simplex_dots(rng1, g1, b0, rho1[:flat], to0[:flat])
+            _simplex_dots(rng1_top, g1[top1], b0[top1], rho1[flat:], to0[flat:])
         except BaseException as exc:  # handed to the caller, which raises it after join
             errors.append(exc)
 
@@ -260,7 +279,8 @@ def refute_with_random_strategies(
     side = threading.Thread(target=draw_alpha1, name="refute-alpha1", daemon=True)
     side.start()
     try:
-        _simplex_dots(rng0, g0, analysis.b[:, 1], rho0, to1)
+        _simplex_dots(rng0, g0, b1, rho0[:flat], to1[:flat])
+        _simplex_dots(rng0_top, g0[top0], b1[top0], rho0[flat:], to1[flat:])
     finally:
         side.join()
     if errors:

@@ -74,7 +74,7 @@ class SimulationStats:
     per-cycle incomes taken as iid (0.0 when cycles == 1). On a boundary
     chain that persists on one side it understates the spread of ``i_hat``
     (5.4-5.9 times on n = 2, p01 = [[.88, .02], [.02, .88]]); on the
-    reference model it is calibrated. See ROADMAP.md, item 3.
+    reference model it is calibrated. See ROADMAP.md, item 4.
     """
 
     cycles: int

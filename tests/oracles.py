@@ -7,9 +7,9 @@ absorption statistics come from a vectorized batch random walk that
 shares no code with the sequential simulator. ``ladder_analysis`` keeps
 an earlier release's refined, three-solve classification of a failed
 solve as the reference for the package's single solve, and
-``full_matrix_refutation`` keeps its refutation, which drew and normalized
-every strategy matrix whole on one thread, as the reference for the
-package's chunked, threaded one.
+``full_matrix_refutation`` draws and normalizes each of the refutation's
+four strategy matrices whole, on one thread, as the reference for the
+package's chunked, threaded draw.
 """
 
 from __future__ import annotations
@@ -230,25 +230,38 @@ def _ratio_values(alpha0: np.ndarray, alpha1: np.ndarray, spec, analysis):
 
 
 def full_matrix_refutation(spec, control, samples: int, seed: int):
-    """An earlier release's refute_with_random_strategies, for samples > 0:
-    two whole (samples, n) draws, normalized and evaluated in one batch, on
-    one thread. alpha0 and alpha1 come from the PCG64 streams of
-    SeedSequence(seed, spawn_key=(0,)) and (1,). A violation is a value
-    beyond the optimum by more than DOMINANCE_TOL * max(1, |value|)."""
+    """The package's refutation drawn whole, for samples > 0: each stream's
+    rows in one (rows, labels) draw, normalized and evaluated in one batch,
+    on one thread. The first samples - samples // 2 pairs are flat on all
+    labels, alpha0 and alpha1 from the PCG64 streams of
+    SeedSequence(seed, spawn_key=(0,)) and (1,); the rest are flat on the 4
+    labels per side with the best q-values of the claimed pair (ties to the
+    lower label), from (2,) and (3,), and are zero elsewhere. A violation is
+    a value beyond the optimum by more than DOMINANCE_TOL * max(1, |value|)."""
     from tuning import RefutationReport, analyze_chain
     from tuning.optimizer import DOMINANCE_TOL, SIGNS
+    from tuning.stationary import _rewards
 
-    alpha0, alpha1 = (
-        _simplex_rows(
-            np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(key,)))),
-            samples,
-            spec.n_internal,
+    n, s, analysis = spec.n_internal, SIGNS[control.direction], analyze_chain(spec)
+    g0, g1 = _rewards(spec, analysis)
+    b0, b1 = analysis.b[:, 0], analysis.b[:, 1]
+    m0, m1 = control.m0_star - 2, control.m1_star - 2
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        h = (s * g1[m1] - s * g0[m0]) / (b1[m0] + b0[m1])
+        q0, q1 = s * g0 + b1 * h, s * g1 - b0 * h
+    tops = [np.argsort(-q, kind="stable")[:4] for q in (q0, q1)]
+    flat, targeted = samples - samples // 2, samples // 2
+    alphas = []
+    for side in (0, 1):
+        flat_rng, top_rng = (
+            np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(key,))))
+            for key in (side, side + 2)
         )
-        for key in (0, 1)
-    )
+        on_top = np.zeros((targeted, n))
+        on_top[:, tops[side]] = _simplex_rows(top_rng, targeted, len(tops[side]))
+        alphas.append(np.vstack([_simplex_rows(flat_rng, flat, n), on_top]))
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _ratio_values(alpha0, alpha1, spec, analyze_chain(spec))
-    s = SIGNS[control.direction]
+        values = _ratio_values(alphas[0], alphas[1], spec, analysis)
     best = s * float(np.max(s * values))
     violations = int((s * values > s * control.value + DOMINANCE_TOL * max(1.0, abs(control.value))).sum())
     gap = s * control.value - s * best

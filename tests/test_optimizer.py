@@ -292,8 +292,9 @@ class TestRefutation:
         caller, draw, threads = threading.get_ident(), tuning.optimizer._simplex_dots, []
 
         def fail_off_the_calling_thread(*args):
+            # the side thread draws alpha1's flat half, then fails on its targeted half
             threads.append(threading.get_ident())
-            if threads[-1] != caller:
+            if threads[-1] != caller and len(threads) - threads.count(caller) == 2:
                 raise SideStreamFailed("alpha1")
             draw(*args)
 
@@ -302,7 +303,7 @@ class TestRefutation:
         with pytest.raises(SideStreamFailed, match="^alpha1$"):
             refute_with_random_strategies(reference_spec, control, 500, seed=2)
         assert threading.active_count() == before
-        assert len(threads) == 2 and threads.count(caller) == 1
+        assert len(threads) == 4 and threads.count(caller) == 2
 
     def test_negative_samples_rejected(self, reference_spec):
         control = solve_tuning(reference_spec)
@@ -340,8 +341,12 @@ class TestRefutation:
             (OptimalControl("max", 3, 3, 1.0), r"^unknown direction 'max', expected one of \('maximize', 'minimize'\)$"),
             (OptimalControl("maximize", 3, 3, float("nan")), "^control value must be finite, got nan$"),
             (OptimalControl("minimize", 2, 2, float("-inf")), "^control value must be finite, got -inf$"),
+            (OptimalControl("maximize", 1, 3, 1.0), r"^m0_star must be an int in \[2, 3\], got 1$"),
+            (OptimalControl("maximize", 3, 4, 1.0), r"^m1_star must be an int in \[2, 3\], got 4$"),
+            (OptimalControl("maximize", 3, -1, 1.0), r"^m1_star must be an int in \[2, 3\], got -1$"),
+            (OptimalControl("minimize", 2.0, 3, 1.0), r"^m0_star must be an int in \[2, 3\], got 2.0$"),
         ],
-        ids=["direction", "nan", "inf"],
+        ids=["direction", "nan", "inf", "label-below", "label-above", "label-negative", "label-float"],
     )
     def test_bad_control_rejected_before_any_draw(self, reference_spec, monkeypatch, control, message):
         def no_draw(*args):
@@ -350,6 +355,51 @@ class TestRefutation:
         monkeypatch.setattr(tuning.optimizer, "_simplex_dots", no_draw)
         with pytest.raises(ValueError, match=message):
             refute_with_random_strategies(reference_spec, control, 50, seed=1)
+
+    @pytest.mark.parametrize("n", [7, 50, 300])
+    def test_a_claim_at_the_tenth_best_pair_is_refuted(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            spec = random_spec(rng, n)
+            table = c_table(spec)
+            for direction, s in tuning.optimizer.SIGNS.items():
+                m0, m1 = divmod(int(np.argsort(-s * table, axis=None, kind="stable")[9]), n)
+                claim = OptimalControl(direction, m0 + 2, m1 + 2, float(table[m0, m1]))
+                report = refute_with_random_strategies(spec, claim, 2_000, seed=int(rng.integers(2**32)))
+                assert report.violations >= 1, (direction, claim)
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=chain_specs())
+    def test_no_violation_at_the_true_optimum(self, spec):
+        for direction in tuning.optimizer.DIRECTIONS:
+            report = refute_with_random_strategies(spec, solve_tuning(spec, direction), 400, seed=spec.n_internal)
+            assert report.violations == 0
+
+    @pytest.mark.parametrize(
+        "direction, value, best, gap, violations",
+        [
+            ("maximize", 8.218536582790142, 9.045617139707938, -0.8270805569177959, 370),
+            ("minimize", 8.218536582790142, 7.04406675845506, -1.1744698243350822, 631),
+        ],
+    )
+    def test_flat_half_is_the_flat_refutation_of_its_size(self, monkeypatch, direction, value, best, gap, violations):
+        # the report of the flat refutation of 1001 samples, drawn by the
+        # release before the targeted half, pinned bit for bit
+        spec = random_spec(np.random.default_rng(50), 50)
+        ratio, seen = tuning.optimizer._ratio, []
+
+        def keep_values(*args):
+            seen.append(ratio(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(tuning.optimizer, "_ratio", keep_values)
+        refute_with_random_strategies(spec, OptimalControl(direction, 2, 2, value), 2_001, seed=5)
+        s = tuning.optimizer.SIGNS[direction]
+        flat = seen[0][:1_001]
+        assert s * float(np.max(s * flat)) == best
+        assert s * value - s * best == gap
+        tol = tuning.optimizer.DOMINANCE_TOL * max(1.0, abs(value))
+        assert int((s * flat > s * value + tol).sum()) == violations
 
     @pytest.mark.parametrize("n", [1, 2, 7, 300])
     def test_chunked_refutation_matches_full_matrix_draw(self, n):
@@ -425,6 +475,20 @@ class TestRefutation:
             tracemalloc.stop()
         # two (2000, 1500) draws would be ~46 MiB
         assert peak < 10 * 2**20
+
+    def test_traced_memory_per_sample_is_bounded(self):
+        # the four per-sample outputs and the ratio's temporaries; an unchunked
+        # targeted draw would add a (samples // 2, 4) matrix per side
+        spec = random_spec(np.random.default_rng(7), 7)
+        control = solve_tuning(spec)
+        samples = 1_000_000
+        tracemalloc.start()
+        try:
+            refute_with_random_strategies(spec, control, samples, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * samples
 
     def test_row_with_a_zero_uniform_is_drawn_again(self):
         class FirstDrawHasAZero:
