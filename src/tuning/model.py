@@ -112,18 +112,6 @@ class Strategy:
         object.__setattr__(self, "alpha1", _frozen(self.alpha1))
 
 
-def _check_strategy(strategy: Strategy, n: int) -> None:
-    if strategy.alpha0.shape != (n,) or strategy.alpha1.shape != (n,):
-        raise ValueError(
-            f"strategy dimensions {strategy.alpha0.shape}, {strategy.alpha1.shape} "
-            f"do not match {n} internal states"
-        )
-    for name, alpha in (("alpha0", strategy.alpha0), ("alpha1", strategy.alpha1)):
-        total = float(alpha.sum())
-        if (alpha < 0.0).any() or not abs(total - 1.0) <= STRATEGY_SUM_TOL:  # a NaN sum fails too
-            raise ValueError(f"strategy {name} must be non-negative and sum to 1, sums to {total!r}")
-
-
 @dataclass(frozen=True)
 class Violation:
     """One violated rule: machine code, readable message, offending place.
@@ -306,19 +294,28 @@ def validate_strategy(strategy: Strategy, n_internal: int) -> ValidationReport:
     return ValidationReport(tuple(errors), ())
 
 
+def _check_strategy(strategy: Strategy, n_internal: int) -> None:
+    """ValueError from the first finding of validate_strategy, if any."""
+    report = validate_strategy(strategy, n_internal)
+    if not report.ok:
+        first = report.errors[0]
+        raise ValueError(f"strategy {first.message} ({first.code})")
+
+
+def _check_label(name: str, label, n_internal: int) -> None:
+    """ValueError unless ``label`` is an int label of an internal state."""
+    if not isinstance(label, (int, np.integer)) or not 2 <= label <= n_internal + 1:
+        raise ValueError(f"{name}={label!r} is not an internal state label (expected 2..{n_internal + 1})")
+
+
 def degenerate_strategy(m0: int, m1: int, n_internal: int) -> Strategy:
     """Deterministic strategy: always restart at label m0 from boundary 0
     and at label m1 from boundary 1.
 
-    Raises ValueError if a label is outside {2, ..., n_internal + 1}.
+    Raises ValueError unless each label is an int in {2, ..., n_internal + 1}.
     """
-    labels = range(2, n_internal + 2)
-    for name, m in (("m0", m0), ("m1", m1)):
-        if m not in labels:
-            raise ValueError(
-                f"{name}={m} is not an internal state label "
-                f"(expected {labels.start}..{labels.stop - 1})"
-            )
+    _check_label("m0", m0, n_internal)
+    _check_label("m1", m1, n_internal)
     alpha0 = np.zeros(n_internal)
     alpha1 = np.zeros(n_internal)
     alpha0[m0 - 2] = 1.0

@@ -33,7 +33,7 @@ import numpy as np
 
 from .absorption import analyze_chain, check_positivity
 from .errors import NumericOverflowError, PositivityError
-from .model import ChainSpec
+from .model import ChainSpec, _check_label
 from .stationary import _coefficient_tables, _ratio, _rewards
 from .stationary import cost_coefficients  # noqa: F401 - perfbench patches this name here
 
@@ -91,6 +91,13 @@ def _require_states(spec: ChainSpec) -> None:
         raise ValueError(f"n_internal must be >= 1, got {spec.n_internal}")
 
 
+def _improve(g0, g1, b0, b1, m0: int, m1: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """The h that makes pair (m0, m1)'s two q-values equal its value, and
+    the q-values q0 and q1 of every label under that h."""
+    h = (g1[m1] - g0[m0]) / (b1[m0] + b0[m1])
+    return h, g0 + b1 * h, g1 - b0 * h
+
+
 def _policy_iteration(g0, g1, b0, b1) -> tuple[float, float, np.ndarray, np.ndarray]:
     """Maximize the pair value; return the value, h and q-values of the last pair.
 
@@ -102,9 +109,7 @@ def _policy_iteration(g0, g1, b0, b1) -> tuple[float, float, np.ndarray, np.ndar
     m0, m1 = int(np.argmax(g0)), int(np.argmax(g1))
     value = _ratio(g0[m0], g1[m1], b0[m1], b1[m0])
     while True:
-        h = (g1[m1] - g0[m0]) / (b1[m0] + b0[m1])
-        q0 = g0 + b1 * h
-        q1 = g1 - b0 * h
+        h, q0, q1 = _improve(g0, g1, b0, b1, m0, m1)
         n0, n1 = int(np.argmax(q0)), int(np.argmax(q1))
         improved = _ratio(g0[n0], g1[n1], b0[n1], b1[n0])
         if not improved > value:
@@ -223,16 +228,19 @@ def refute_with_random_strategies(
 
     Draws ``samples`` independent strategy pairs, evaluates the long-run
     income of every pair, and reports anything beyond ``control.value`` by
-    more than DOMINANCE_TOL * max(1, |control.value|). The first ``samples
-    - samples // 2`` are flat on the simplices, alpha0 from the stream
-    SeedSequence(seed, spawn_key=(0,)) and alpha1 from spawn_key=(1,); the
-    rest are flat on the TARGET_LABELS labels per side with the claimed
-    pair's best q-values, where policy improvement finds a better pair if
-    there is one, from spawn_key=(2,) and (3,). alpha1's draws run in a
-    side thread at the same time as alpha0's, each in chunks of about 1 MiB,
-    so memory is O(samples). Each stream writes only its own outputs, so the
+    more than DOMINANCE_TOL * max(1, |control.value|). Values are drawn in
+    solve_tuning's maximize frame, on the rewards times +1 (maximize) or -1
+    (minimize); negation is exact, so the report is the raw frame's. Side i
+    draws alpha_i: the first ``samples - samples // 2`` flat on the simplex
+    from the stream SeedSequence(seed, spawn_key=(i,)), the rest flat on the
+    TARGET_LABELS labels with the claimed pair's best q-values (the solver's
+    policy-improvement step, which finds a better pair there if there is
+    one) from spawn_key=(i + 2,). Side 1 runs in a side thread at the same
+    time as side 0 on the calling thread, each in chunks of about 1 MiB, so
+    memory is O(samples). Each side writes only its own outputs, so the
     report is the same for fixed (spec, control, samples, seed) whatever the
-    scheduling of the threads.
+    scheduling of the threads. An exception of either side is raised once
+    both have finished, the calling thread's first.
     """
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
@@ -242,49 +250,42 @@ def refute_with_random_strategies(
     s = _sign(control.direction)
     if not np.isfinite(control.value):
         raise ValueError(f"control value must be finite, got {control.value!r}")
-    last = spec.n_internal + 1
-    for name, label in (("m0_star", control.m0_star), ("m1_star", control.m1_star)):
-        if not isinstance(label, (int, np.integer)) or not 2 <= label <= last:
-            raise ValueError(f"{name} must be an int in [2, {last}], got {label!r}")
+    _check_label("m0_star", control.m0_star, spec.n_internal)
+    _check_label("m1_star", control.m1_star, spec.n_internal)
     if samples == 0:
         return RefutationReport(samples, seed, DOMINANCE_TOL, None, None, 0)
     analysis = analyze_chain(spec)
-    g0, g1 = _rewards(spec, analysis)
+    g0, g1 = (s * g for g in _rewards(spec, analysis))
     b0, b1 = analysis.b[:, 0], analysis.b[:, 1]
-    m0, m1 = control.m0_star - 2, control.m1_star - 2
     # the ranking only picks labels to draw on, so a non-finite q-value
     # (rewards near the float limit) costs power, not correctness; a stable
     # sort of -q puts the lower label first among ties
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        h = (s * g1[m1] - s * g0[m0]) / (b1[m0] + b0[m1])
-        q0, q1 = s * g0 + b1 * h, s * g1 - b0 * h
+        _, q0, q1 = _improve(g0, g1, b0, b1, control.m0_star - 2, control.m1_star - 2)
         top0, top1 = (np.argsort(-q, kind="stable")[:TARGET_LABELS] for q in (q0, q1))
     rho0, to1, rho1, to0 = (np.empty(samples) for _ in range(4))  # before any draw: fail at once
-    rng0, rng1, rng0_top, rng1_top = (
-        np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(key,))))
-        for key in (0, 1, 2, 3)
-    )
+    # side i: alpha_i @ g_i into rho_i and alpha_i @ b[:, 1 - i] into to_(1 - i)
+    sides = ((g0, b1, top0, rho0, to1), (g1, b0, top1, rho1, to0))
     flat = samples - samples // 2
-    errors: list[BaseException] = []
+    errors: list[BaseException | None] = [None, None]
 
-    def draw_alpha1() -> None:
+    def draw(side: int) -> None:
+        g, b, top, rho, to = sides[side]
         try:
-            _simplex_dots(rng1, g1, b0, rho1[:flat], to0[:flat])
-            _simplex_dots(rng1_top, g1[top1], b0[top1], rho1[flat:], to0[flat:])
-        except BaseException as exc:  # handed to the caller, which raises it after join
-            errors.append(exc)
+            for key, labels, part in ((side, slice(None), slice(flat)), (side + 2, top, slice(flat, None))):
+                rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(key,))))
+                _simplex_dots(rng, g[labels], b[labels], rho[part], to[part])
+        except BaseException as exc:  # raised by the caller after join
+            errors[side] = exc
 
-    # the caller always joins; the daemon flag only keeps a join cut short by a
-    # second interrupt from holding the interpreter open at exit
-    side = threading.Thread(target=draw_alpha1, name="refute-alpha1", daemon=True)
-    side.start()
-    try:
-        _simplex_dots(rng0, g0, b1, rho0[:flat], to1[:flat])
-        _simplex_dots(rng0_top, g0[top0], b1[top0], rho0[flat:], to1[flat:])
-    finally:
-        side.join()
-    if errors:
-        raise errors[0]
+    # the daemon flag only keeps a join cut short by a second interrupt from
+    # holding the interpreter open at exit
+    thread = threading.Thread(target=draw, args=(1,), name="refute-alpha1", daemon=True)
+    thread.start()
+    draw(0)
+    thread.join()
+    for exc in filter(None, errors):  # the calling thread's own exception first
+        raise exc
     with np.errstate(over="ignore", invalid="ignore"):
         values = _ratio(rho0, rho1, to0, to1)
         # may round to inf within DOMINANCE_TOL of the float limit, where no
@@ -292,7 +293,7 @@ def refute_with_random_strategies(
         bound = s * control.value + DOMINANCE_TOL * max(1.0, abs(control.value))
     if not np.isfinite(values).all():
         raise NumericOverflowError("a sampled strategy's value overflowed the float range")
-    best = s * float(np.max(s * values))
-    violations = int((s * values > bound).sum())
-    gap = s * control.value - s * best  # not s * (value - best), which is -0.0 at a zero gap
-    return RefutationReport(samples, seed, DOMINANCE_TOL, best, gap, violations)
+    best = float(np.max(values))  # in the maximize frame
+    violations = int((values > bound).sum())
+    gap = s * control.value - best  # not s * (value - s * best), which is -0.0 at a zero gap
+    return RefutationReport(samples, seed, DOMINANCE_TOL, s * best, gap, violations)

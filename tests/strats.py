@@ -48,3 +48,30 @@ def strategies_for(draw, n: int) -> Strategy:
 def spec_strategy_pairs(draw, max_internal: int = 5) -> tuple[ChainSpec, Strategy]:
     spec = draw(chain_specs(max_internal=max_internal))
     return spec, draw(strategies_for(spec.n_internal))
+
+
+@st.composite
+def mutated_alphas(draw, n: int) -> list:
+    """One side of a strategy as a library caller may pass it, n >= 2: a
+    distribution, or one mutated in type (bools, strings), in value (NaN,
+    infinity), in mass or in length. Mass is either moved from the first
+    label to the last, which goes negative when more is moved than the
+    first label holds, or added, up to 3e-9 either way, so the sum falls on
+    either side of the 1e-9 tolerance."""
+    alpha = _normalized(draw(st.lists(_weights, min_size=n, max_size=n))).tolist()
+    kind = draw(st.sampled_from(["valid", "bool", "str", "nan", "shift", "sum", "length"]))
+    if kind == "bool":
+        return draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    if kind == "str":
+        return draw(st.lists(st.sampled_from(["0.5", "1", "a"]), min_size=n, max_size=n))
+    if kind == "nan":
+        alpha[draw(st.integers(0, n - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    elif kind == "shift":
+        shift = draw(st.floats(min_value=0.0, max_value=1.0))
+        alpha[0] -= shift
+        alpha[-1] += shift
+    elif kind == "sum":
+        alpha[0] += draw(st.floats(min_value=-3e-9, max_value=3e-9))
+    elif kind == "length":
+        alpha = draw(st.sampled_from([alpha[:-1], alpha + [0.0]]))
+    return alpha

@@ -558,6 +558,32 @@ def edge_models(draw) -> dict:
     }
 
 
+@st.composite
+def strategy_documents(draw, n: int) -> str:
+    """Strategy files as JSON text: each side a distribution or a mutation
+    of one (true/false, strings, NaN or Infinity tokens, negative mass, a
+    wrong length, not a list) or left out; sometimes not an object."""
+    even = [1.0 / n] * n
+    sides = [
+        json.dumps(even),
+        json.dumps([1.0] + [0.0] * (n - 1)),
+        json.dumps([True] + [False] * (n - 1)),
+        json.dumps([str(x) for x in even]),
+        "[" + ", ".join(["NaN"] + ["0.5"] * (n - 1)) + "]",
+        "[" + ", ".join(["Infinity"] + ["-Infinity"] * (n - 1)) + "]",
+        json.dumps([2.0, -1.0] + [0.0] * (n - 2) if n > 1 else [-1.0]),
+        json.dumps(even + [0.0]),
+        json.dumps(even[1:]),
+        json.dumps([even]),
+        "null",
+        "0.5",
+        None,  # the key is missing
+    ]
+    texts = {key: draw(st.sampled_from(sides)) for key in ("alpha0", "alpha1")}
+    body = ", ".join(f'"{key}": {text}' for key, text in texts.items() if text is not None)
+    return draw(st.sampled_from(["{" + body + "}"] * 8 + ["[]", "null"]))
+
+
 class TestEveryInputEndsInADocument:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(model=edge_models(), data=st.data())
@@ -581,6 +607,30 @@ class TestEveryInputEndsInADocument:
                 text = out.getvalue()
                 assert status in (0, 1, 3), (argv, text)
                 if status == 0 and argv[0] in ("table", "trajectory"):
+                    assert "inf" not in text and "nan" not in text, (argv, text)
+                else:
+                    json.loads(text, parse_constant=_reject_constant)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(model=edge_models(), data=st.data())
+    def test_every_strategy_file_exits_with_a_finite_document(self, model, data):
+        invocations = [
+            ["indicator"],
+            ["simulate", "--cycles", "50", "--segment-limit", "2000"],
+            ["trajectory", "--max-steps", "30"],
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_json(Path(tmp) / "model.json", model)
+            strategy = Path(tmp) / "strategy.json"
+            strategy.write_text(data.draw(strategy_documents(model["n_internal"])))
+            for argv in invocations:
+                out = io.StringIO()
+                with warnings.catch_warnings(), contextlib.redirect_stdout(out):
+                    warnings.simplefilter("error")
+                    status = main([argv[0], str(path), "--strategy", str(strategy), *argv[1:]])
+                text = out.getvalue()
+                assert status in (0, 1, 3), (argv, text)
+                if status == 0 and argv[0] == "trajectory":
                     assert "inf" not in text and "nan" not in text, (argv, text)
                 else:
                     json.loads(text, parse_constant=_reject_constant)

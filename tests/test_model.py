@@ -229,6 +229,12 @@ class TestDegenerateStrategy:
         with pytest.raises(ValueError):
             degenerate_strategy(m0, m1, 2)
 
+    def test_a_label_must_be_an_int(self):
+        with pytest.raises(ValueError, match=r"^m0=2\.0 is not an internal state label \(expected 2\.\.3\)$"):
+            degenerate_strategy(2.0, 3, 2)
+        strategy = degenerate_strategy(np.int64(3), 2, 2)
+        assert strategy.alpha0.tolist() == [0.0, 1.0]
+
 
 class TestSerialization:
     def test_chain_spec_round_trip(self, reference_spec):

@@ -284,26 +284,32 @@ class TestRefutation:
             sys.setswitchinterval(interval)
         assert concurrent == serial
 
-    def test_side_thread_error_is_raised_by_the_caller(self, reference_spec, monkeypatch):
-        class SideStreamFailed(Exception):
+    @pytest.mark.parametrize("caller_fails", [False, True], ids=["side", "both"])
+    def test_side_thread_error_is_raised_by_the_caller(self, reference_spec, monkeypatch, caller_fails):
+        class StreamFailed(Exception):
             pass
 
         control = solve_tuning(reference_spec)
         caller, draw, threads = threading.get_ident(), tuning.optimizer._simplex_dots, []
 
-        def fail_off_the_calling_thread(*args):
-            # the side thread draws alpha1's flat half, then fails on its targeted half
+        def fail(*args):
+            # the side thread draws alpha1's flat half, then fails on its
+            # targeted half; the calling thread fails at once, if at all
             threads.append(threading.get_ident())
+            if threads[-1] == caller and caller_fails:
+                raise StreamFailed("alpha0")
             if threads[-1] != caller and len(threads) - threads.count(caller) == 2:
-                raise SideStreamFailed("alpha1")
+                raise StreamFailed("alpha1")
             draw(*args)
 
-        monkeypatch.setattr(tuning.optimizer, "_simplex_dots", fail_off_the_calling_thread)
+        monkeypatch.setattr(tuning.optimizer, "_simplex_dots", fail)
         before = threading.active_count()
-        with pytest.raises(SideStreamFailed, match="^alpha1$"):
+        # when both sides fail, the calling thread's own exception is raised
+        with pytest.raises(StreamFailed, match="^alpha0$" if caller_fails else "^alpha1$"):
             refute_with_random_strategies(reference_spec, control, 500, seed=2)
         assert threading.active_count() == before
-        assert len(threads) == 4 and threads.count(caller) == 2
+        assert threads.count(caller) == (1 if caller_fails else 2)
+        assert len(threads) - threads.count(caller) == 2
 
     def test_negative_samples_rejected(self, reference_spec):
         control = solve_tuning(reference_spec)
@@ -341,10 +347,10 @@ class TestRefutation:
             (OptimalControl("max", 3, 3, 1.0), r"^unknown direction 'max', expected one of \('maximize', 'minimize'\)$"),
             (OptimalControl("maximize", 3, 3, float("nan")), "^control value must be finite, got nan$"),
             (OptimalControl("minimize", 2, 2, float("-inf")), "^control value must be finite, got -inf$"),
-            (OptimalControl("maximize", 1, 3, 1.0), r"^m0_star must be an int in \[2, 3\], got 1$"),
-            (OptimalControl("maximize", 3, 4, 1.0), r"^m1_star must be an int in \[2, 3\], got 4$"),
-            (OptimalControl("maximize", 3, -1, 1.0), r"^m1_star must be an int in \[2, 3\], got -1$"),
-            (OptimalControl("minimize", 2.0, 3, 1.0), r"^m0_star must be an int in \[2, 3\], got 2.0$"),
+            (OptimalControl("maximize", 1, 3, 1.0), r"^m0_star=1 is not an internal state label \(expected 2\.\.3\)$"),
+            (OptimalControl("maximize", 3, 4, 1.0), r"^m1_star=4 is not an internal state label \(expected 2\.\.3\)$"),
+            (OptimalControl("maximize", 3, -1, 1.0), r"^m1_star=-1 is not an internal state label \(expected 2\.\.3\)$"),
+            (OptimalControl("minimize", 2.0, 3, 1.0), r"^m0_star=2\.0 is not an internal state label \(expected 2\.\.3\)$"),
         ],
         ids=["direction", "nan", "inf", "label-below", "label-above", "label-negative", "label-float"],
     )
@@ -395,7 +401,7 @@ class TestRefutation:
         monkeypatch.setattr(tuning.optimizer, "_ratio", keep_values)
         refute_with_random_strategies(spec, OptimalControl(direction, 2, 2, value), 2_001, seed=5)
         s = tuning.optimizer.SIGNS[direction]
-        flat = seen[0][:1_001]
+        flat = s * seen[0][:1_001]  # back from the maximize frame the values are drawn in
         assert s * float(np.max(s * flat)) == best
         assert s * value - s * best == gap
         tol = tuning.optimizer.DOMINANCE_TOL * max(1.0, abs(value))

@@ -22,12 +22,13 @@ from tuning import (
     sample_trajectory,
     simulate,
     simulate_replicated,
+    validate_strategy,
     visit_income,
 )
 from tuning.simulator import _Picker, _run_stream
 
-from conftest import OVERFLOW_REWARD, REF_I_STAR, REF_PI
-from strats import spec_strategy_pairs
+from conftest import OVERFLOW_REWARD, REF_I_STAR, REF_PI, REFERENCE
+from strats import mutated_alphas, spec_strategy_pairs
 
 
 def trajectory_cycles(spec, strategy, cycles, seed):
@@ -181,6 +182,18 @@ class TestReplications:
         assert many.std_error < one.std_error
 
 
+# every library entry point that takes a Strategy
+ENTRY_POINTS = {
+    "embedded": lambda spec, strategy: indicator(strategy, spec, analyze_chain(spec), "embedded"),
+    "ratio": lambda spec, strategy: indicator(strategy, spec, analyze_chain(spec), "ratio"),
+    "fractional": lambda spec, strategy: indicator(strategy, spec, analyze_chain(spec), "fractional"),
+    "embedded_transition": lambda spec, strategy: embedded_transition(strategy, analyze_chain(spec)),
+    "visit_income": lambda spec, strategy: visit_income(strategy, spec, analyze_chain(spec)),
+    "simulate": lambda spec, strategy: simulate(spec, strategy, 100, seed=0),
+    "trajectory": lambda spec, strategy: sample_trajectory(spec, strategy, 50, seed=0),
+}
+
+
 class TestStrategyLength:
     @pytest.mark.parametrize("length", [1, 3])
     @pytest.mark.parametrize("run", [
@@ -189,31 +202,44 @@ class TestStrategyLength:
     ], ids=["simulate", "trajectory"])
     def test_wrong_length_is_rejected_as_indicator_rejects_it(self, reference_spec, run, length):
         strategy = Strategy(np.full(length, 1.0 / length), np.full(length, 1.0 / length))
-        message = re.escape(f"strategy dimensions ({length},), ({length},) do not match 2 internal states")
-        with pytest.raises(ValueError, match=message):
+        message = re.escape(f"strategy alpha0 must have length 2, got shape ({length},) (BAD_SHAPE)")
+        with pytest.raises(ValueError, match=f"^{message}$"):
             indicator(strategy, reference_spec, analyze_chain(reference_spec))
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             run(reference_spec, strategy)
 
     @pytest.mark.parametrize(
-        "alpha", [[0.5, 0.3], [-0.5, 1.5], [np.nan, 0.5]], ids=["sum", "negative", "nan"]
+        "alpha, finding",
+        [
+            ([0.5, 0.3], "sums to 0.8, not 1 (NOT_NORMALIZED)"),
+            ([-0.5, 1.5], "has negative mass at state labels [2] (NEGATIVE_MASS)"),
+            ([np.nan, 0.5], "contains NaN or infinity (NOT_FINITE)"),
+            ([True, False], "must hold numbers only (NOT_NUMERIC)"),
+            (["a", "b"], "must hold numbers only (NOT_NUMERIC)"),
+        ],
+        ids=["sum", "negative", "nan", "bool", "str"],
     )
     @pytest.mark.parametrize("side", ["alpha0", "alpha1"])
-    @pytest.mark.parametrize("run", [
-        lambda spec, strategy: indicator(strategy, spec, analyze_chain(spec), "embedded"),
-        lambda spec, strategy: indicator(strategy, spec, analyze_chain(spec), "ratio"),
-        lambda spec, strategy: indicator(strategy, spec, analyze_chain(spec), "fractional"),
-        lambda spec, strategy: embedded_transition(strategy, analyze_chain(spec)),
-        lambda spec, strategy: visit_income(strategy, spec, analyze_chain(spec)),
-        lambda spec, strategy: simulate(spec, strategy, 100, seed=0),
-        lambda spec, strategy: sample_trajectory(spec, strategy, 50, seed=0),
-    ], ids=[
-        "embedded", "ratio", "fractional", "embedded_transition", "visit_income", "simulate", "trajectory",
-    ])
-    def test_a_strategy_that_is_not_a_distribution_is_rejected(self, reference_spec, run, side, alpha):
+    @pytest.mark.parametrize("run", ENTRY_POINTS, ids=list(ENTRY_POINTS))
+    def test_a_strategy_that_is_not_a_distribution_is_rejected(self, reference_spec, run, side, alpha, finding):
+        # raised with validate_strategy's first finding, the one the CLI reports first
         strategy = Strategy(**{"alpha0": [0.5, 0.5], "alpha1": [0.5, 0.5], side: alpha})
-        with pytest.raises(ValueError, match=f"strategy {side} must be non-negative and sum to 1"):
-            run(reference_spec, strategy)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'strategy {side} {finding}')}$"):
+            ENTRY_POINTS[run](reference_spec, strategy)
+
+    @settings(max_examples=80, deadline=None)
+    @given(alpha0=mutated_alphas(2), alpha1=mutated_alphas(2))
+    def test_the_library_rejects_exactly_what_validate_rejects(self, alpha0, alpha1):
+        spec, strategy = ChainSpec(**REFERENCE), Strategy(alpha0, alpha1)
+        report = validate_strategy(strategy, 2)
+        for run in ("embedded", "simulate"):
+            if report.ok:
+                ENTRY_POINTS[run](spec, strategy)
+            else:
+                first = report.errors[0]
+                message = re.escape(f"strategy {first.message} ({first.code})")
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    ENTRY_POINTS[run](spec, strategy)
 
 
 class TestTrajectory:

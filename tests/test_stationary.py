@@ -48,7 +48,8 @@ class TestEmbeddedTransition:
         assert np.max(np.abs(p_tilde.sum(axis=1) - 1.0)) <= 1e-12
 
     def test_dimension_mismatch(self, reference_analysis):
-        with pytest.raises(ValueError, match="dimensions"):
+        message = r"^strategy alpha0 must have length 2, got shape \(1,\) \(BAD_SHAPE\)$"
+        with pytest.raises(ValueError, match=message):
             embedded_transition(Strategy([1.0], [1.0]), reference_analysis)
 
 
