@@ -172,11 +172,10 @@ def validate_chain(spec: ChainSpec) -> ValidationReport:
     warnings: list[Violation] = []
     n = spec.n_internal
 
-    if isinstance(n, bool) or not isinstance(n, int):
-        errors.append(Violation("BAD_COUNT", f"n_internal must be an integer, got {n!r}"))
-        return ValidationReport(tuple(errors), tuple(warnings))
-    if n < 1:
-        errors.append(Violation("BAD_COUNT", f"n_internal must be >= 1, got {n}"))
+    try:
+        _check_count("n_internal", n, 1)
+    except ValueError as exc:
+        errors.append(Violation("BAD_COUNT", str(exc)))
         return ValidationReport(tuple(errors), tuple(warnings))
 
     expected = {
@@ -300,6 +299,14 @@ def _check_strategy(strategy: Strategy, n_internal: int) -> None:
     if not report.ok:
         first = report.errors[0]
         raise ValueError(f"strategy {first.message} ({first.code})")
+
+
+def _check_count(name: str, value, minimum: int) -> None:
+    """ValueError unless ``value`` is an int (not a bool) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 def _check_label(name: str, label, n_internal: int) -> None:

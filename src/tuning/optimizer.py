@@ -33,7 +33,7 @@ import numpy as np
 
 from .absorption import analyze_chain, check_positivity
 from .errors import NumericOverflowError, PositivityError
-from .model import ChainSpec, _check_label
+from .model import ChainSpec, _check_count, _check_label
 from .stationary import _coefficient_tables, _ratio, _rewards
 from .stationary import cost_coefficients  # noqa: F401 - perfbench patches this name here
 
@@ -83,12 +83,6 @@ def _sign(direction: str) -> float:
     if direction not in DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}, expected one of {DIRECTIONS}")
     return SIGNS[direction]
-
-
-def _require_states(spec: ChainSpec) -> None:
-    """ValueError unless the chain has an internal state to restart at."""
-    if spec.n_internal < 1:
-        raise ValueError(f"n_internal must be >= 1, got {spec.n_internal}")
 
 
 def _improve(g0, g1, b0, b1, m0: int, m1: int) -> tuple[float, np.ndarray, np.ndarray]:
@@ -148,7 +142,7 @@ def solve_tuning(spec: ChainSpec, direction: str = "maximize") -> OptimalControl
     and a PositivityError raised if it fails.
     """
     s = _sign(direction)
-    _require_states(spec)
+    _check_count("n_internal", spec.n_internal, 1)  # a state to restart at
     analysis = analyze_chain(spec)
     positivity = check_positivity(analysis)
     if not positivity.ok:
@@ -175,19 +169,30 @@ def solve_tuning(spec: ChainSpec, direction: str = "maximize") -> OptimalControl
     return OptimalControl(direction, int(rows[i0]) + 2, int(cols[i1]) + 2, float(block[i0, i1]))
 
 
+def _uniforms(bit_generator, size: int) -> np.ndarray:
+    """``size`` float32 uniforms (2k + 1) 2^-24 in (0, 1), k the top 23 bits
+    of each 32-bit half of the raw words, low half first on every platform:
+    k | 0x3F800000 is the float32 1 + k 2^-23, less 1 - 2^-24 exactly (Sterbenz)."""
+    halves = bit_generator.random_raw(-(-size // 2)).astype("<u8", copy=False).view("<u4")
+    halves >>= 9
+    halves |= 0x3F800000
+    uniforms = halves.view("<f4")[:size]
+    uniforms -= np.float32(1 - 2**-24)
+    return uniforms
+
+
 def _simplex_dots(rng: np.random.Generator, u, v, out_u: np.ndarray, out_v: np.ndarray) -> None:
     """Store alpha @ u and alpha @ v for a flat-Dirichlet alpha per entry.
 
-    Rows x of negated standard exponentials, drawn by inversion as log U of
-    uniforms U, are drawn in order into one buffer of CHUNK_ELEMENTS // n
-    rows, a multiple of 8 and at least 8 (a fixed count starves small n).
-    log U < 0 for every U in (0, 1), so no row sums to 0; a row holding a
-    uniform of exactly 0 sums to -inf and is redrawn within its chunk. alpha
-    is x / x.sum(), where the signs cancel, but the chunk is never divided:
-    each row's two dot products are, and only a row whose quotient is not
-    finite (x @ w overflowed where alpha @ w does not) is evaluated again on
-    alpha itself. For n = 1 the simplex is the point alpha = [1], stored
-    exactly with no draw, where (x * u) / x would round. Writes nothing but
+    Rows x of negated standard exponentials, float32 logs of ``_uniforms``
+    (finite and negative, so no row sums to 0), fill one float64 buffer of
+    CHUNK_ELEMENTS // n rows, at least 8 (a fixed count starves small n)
+    and a multiple of 8 (no chunk but the last leaves half a word unread).
+    alpha is x / x.sum(), where the signs cancel, but only each row's
+    products x @ [u, v, 1] are divided, and a row whose quotient is not
+    finite (x @ w overflowed where alpha @ w does not) is taken again on
+    alpha. For n = 1 the simplex is the point alpha = [1], stored exactly
+    with no draw, where (x * u) / x would round. Writes nothing but
     ``out_u`` and ``out_v``, so calls on distinct outputs may run in
     parallel threads.
     """
@@ -198,24 +203,19 @@ def _simplex_dots(rng: np.random.Generator, u, v, out_u: np.ndarray, out_v: np.n
         return
     rows = max(8, CHUNK_ELEMENTS // n // 8 * 8)
     buf = np.empty((min(rows, samples), n))
+    w = np.column_stack([u, v, np.ones(n)])
     # the error state is per thread: a side thread starts with numpy's default
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, samples, rows):
             x = buf[: min(rows, samples - start)]
-            np.log(rng.random(out=x), out=x)
-            while not np.isfinite(sums := x.sum(axis=1)).all():
-                bad = ~np.isfinite(sums)
-                x[bad] = np.log(rng.random((int(bad.sum()), n)))
-            for w, out in ((u, out_u), (v, out_v)):
-                chunk = out[start : start + len(x)]
-                np.matmul(x, w, out=chunk)
-                chunk /= sums
-                # x @ w weighs w by about n where alpha @ w weighs it by 1, so
-                # it can overflow where alpha @ w is finite: redo those rows
-                # on the normalized draws
-                bad = ~np.isfinite(chunk)
-                if bad.any():
-                    chunk[bad] = (x[bad] / sums[bad, None]) @ w
+            np.log(_uniforms(rng.bit_generator, x.size), out=x.reshape(-1))
+            dots = x @ w
+            pair = dots[:, :2] / dots[:, 2:]
+            # x @ w weighs w by about n, alpha @ w by 1, so a quotient can
+            # overflow where alpha @ w is finite: redo those rows on alpha
+            bad = ~np.isfinite(pair).all(axis=1)
+            pair[bad] = (x[bad] / dots[bad, 2:]) @ w[:, :2]
+            out_u[start : start + len(x)], out_v[start : start + len(x)] = pair.T
 
 
 def refute_with_random_strategies(
@@ -228,32 +228,30 @@ def refute_with_random_strategies(
 
     Draws ``samples`` independent strategy pairs, evaluates the long-run
     income of every pair, and reports anything beyond ``control.value`` by
-    more than DOMINANCE_TOL * max(1, |control.value|). Values are drawn in
-    solve_tuning's maximize frame, on the rewards times +1 (maximize) or -1
-    (minimize); negation is exact, so the report is the raw frame's. Side i
-    draws alpha_i: the first ``samples - samples // 2`` flat on the simplex
-    from the stream SeedSequence(seed, spawn_key=(i,)), the rest flat on the
-    TARGET_LABELS labels with the claimed pair's best q-values (the solver's
-    policy-improvement step, which finds a better pair there if there is
-    one) from spawn_key=(i + 2,). Side 1 runs in a side thread at the same
-    time as side 0 on the calling thread, each in chunks of about 1 MiB, so
-    memory is O(samples). Each side writes only its own outputs, so the
-    report is the same for fixed (spec, control, samples, seed) whatever the
-    scheduling of the threads. An exception of either side is raised once
-    both have finished, the calling thread's first.
+    more than DOMINANCE_TOL * max(1, |control.value|). Values are drawn on
+    the rewards times +1 (maximize) or -1 (minimize), solve_tuning's frame;
+    negation is exact, so the report is the raw frame's. Side i draws
+    alpha_i from float32 exponentials: the first ``samples - samples // 2``
+    flat on the simplex from the stream SeedSequence(seed, spawn_key=(i,)),
+    the rest flat on the TARGET_LABELS labels with the claimed pair's best
+    q-values (the solver's policy-improvement step, which finds a better
+    pair there if there is one) from spawn_key=(i + 2,). Side 1 runs in a
+    side thread while side 0 runs on the calling thread, each in ~1 MiB
+    chunks, so memory is O(samples). Each side writes only its own outputs,
+    so the report for fixed arguments is the same whatever the thread
+    scheduling, on numpy's AVX2 and AVX-512 loops alike. An exception of
+    either side is raised once both have finished, the calling thread's first.
     """
-    if samples < 0:
-        raise ValueError(f"samples must be >= 0, got {samples}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    _require_states(spec)
+    _check_count("samples", samples, 0)
+    _check_count("seed", seed, 0)
+    _check_count("n_internal", spec.n_internal, 1)  # a state to restart at
     s = _sign(control.direction)
     if not np.isfinite(control.value):
         raise ValueError(f"control value must be finite, got {control.value!r}")
     _check_label("m0_star", control.m0_star, spec.n_internal)
     _check_label("m1_star", control.m1_star, spec.n_internal)
     if samples == 0:
-        return RefutationReport(samples, seed, DOMINANCE_TOL, None, None, 0)
+        return RefutationReport(int(samples), int(seed), DOMINANCE_TOL, None, None, 0)
     analysis = analyze_chain(spec)
     g0, g1 = (s * g for g in _rewards(spec, analysis))
     b0, b1 = analysis.b[:, 0], analysis.b[:, 1]
@@ -296,4 +294,4 @@ def refute_with_random_strategies(
     best = float(np.max(values))  # in the maximize frame
     violations = int((values > bound).sum())
     gap = s * control.value - best  # not s * (value - s * best), which is -0.0 at a zero gap
-    return RefutationReport(samples, seed, DOMINANCE_TOL, s * best, gap, violations)
+    return RefutationReport(int(samples), int(seed), DOMINANCE_TOL, s * best, gap, violations)

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CycleLimitError, NumericOverflowError
-from .model import ChainSpec, Strategy, _check_strategy
+from .model import ChainSpec, Strategy, _check_count, _check_strategy
 
 DEFAULT_SEGMENT_LIMIT = 10**9
 _CHUNK_CAP = 4096
@@ -169,8 +169,7 @@ class _Kernel:
         self.restart = _Picker(np.vstack([strategy.alpha0, strategy.alpha1]))
         self.c, self.d = spec.c, np.vstack([spec.d0, spec.d1])
         self.limit, self.record = segment_limit, record
-        if seed < 0:
-            raise ValueError(f"seed must be >= 0, got {seed}")
+        _check_count("seed", seed, 0)
         seeds = [np.random.SeedSequence(seed, spawn_key=(stream, j)) for j in range(3)]
         self.rngs = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
         start = np.zeros(1, dtype=np.intp)
@@ -254,12 +253,9 @@ def simulate(
     default is replication 0 alone. Raises NumericOverflowError when the
     total or the scatter of the incomes leaves the float range.
     """
-    if cycles < 1:
-        raise ValueError(f"cycles must be >= 1, got {cycles}")
-    if replications < 1:
-        raise ValueError(f"replications must be >= 1, got {replications}")
-    if segment_limit < 1:
-        raise ValueError(f"segment_limit must be >= 1, got {segment_limit}")
+    _check_count("cycles", cycles, 1)
+    _check_count("replications", replications, 1)
+    _check_count("segment_limit", segment_limit, 1)
     _check_strategy(strategy, spec.n_internal)
     pooled = _Moments()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -296,8 +292,7 @@ def sample_trajectory(
     after an absorption up to the next absorption) reproduces the
     per-cycle incomes exactly.
     """
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    _check_count("max_steps", max_steps, 1)
     _check_strategy(strategy, spec.n_internal)
     c, d = spec.c.tolist(), [spec.d0.tolist(), spec.d1.tolist()]
     events: list[TrajectoryEvent] = []

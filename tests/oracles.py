@@ -202,18 +202,15 @@ def ladder_analysis(spec):
 
 def _simplex_rows(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
     """Uniform draws from the probability simplex (flat Dirichlet), one per
-    row: negated exponentials log U, normalized, where a row holding a
-    uniform of exactly 0 (its sum is -inf) is drawn again."""
-    with np.errstate(divide="ignore"):
-        x = np.log(rng.random((rows, n)))
-        sums = x.sum(axis=1)
-        while True:
-            bad = ~np.isfinite(sums)
-            if not bad.any():
-                break
-            x[bad] = np.log(rng.random((int(bad.sum()), n)))
-            sums = x.sum(axis=1)
-    return x / sums[:, None]
+    row, from one random_raw call: each 64-bit word gives two 32-bit halves,
+    low half first, and the top 23 bits k of each the uniform
+    U = (2k + 1) 2^-24, formed exactly in float64 and rounded to float32
+    without loss; the float32 logs, normalized, are the rows."""
+    words = rng.bit_generator.random_raw(-(-rows * n // 2))
+    halves = np.stack([words & 0xFFFFFFFF, words >> 32], axis=1).reshape(-1)[: rows * n]
+    u = ((2.0 * (halves >> 9) + 1.0) * 2.0**-24).astype(np.float32)
+    x = np.log(u).astype(np.float64).reshape(rows, n)
+    return x / x.sum(axis=1)[:, None]
 
 
 def _ratio_values(alpha0: np.ndarray, alpha1: np.ndarray, spec, analysis):

@@ -76,8 +76,8 @@ class TestKeyOrder:
             "samples": 100,
             "seed": 1,
             "tolerance": 1e-09,
-            "best_observed": 2.8385648266385433,
-            "gap": 0.028101840028122993,
+            "best_observed": 2.8038279732869436,
+            "gap": 0.0628386933797227,
             "violations": 0,
         }
         assert list(doc["refutation"]) == [

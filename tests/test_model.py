@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,10 @@ from tuning import (
     Strategy,
     chain_spec_from_dict,
     degenerate_strategy,
+    refute_with_random_strategies,
+    sample_trajectory,
+    simulate,
+    solve_tuning,
     strategy_from_dict,
     to_doc,
     validate_chain,
@@ -234,6 +240,35 @@ class TestDegenerateStrategy:
             degenerate_strategy(2.0, 3, 2)
         strategy = degenerate_strategy(np.int64(3), 2, 2)
         assert strategy.alpha0.tolist() == [0.0, 1.0]
+
+
+# each library count, called with k and a valid value of every other count
+COUNTED_CALLS = [
+    ("samples", lambda spec, strategy, k: refute_with_random_strategies(spec, solve_tuning(spec), k, 1)),
+    ("seed", lambda spec, strategy, k: refute_with_random_strategies(spec, solve_tuning(spec), 5, k)),
+    ("cycles", lambda spec, strategy, k: simulate(spec, strategy, k, 1)),
+    ("seed", lambda spec, strategy, k: simulate(spec, strategy, 5, k)),
+    ("replications", lambda spec, strategy, k: simulate(spec, strategy, 5, 1, k)),
+    ("segment_limit", lambda spec, strategy, k: simulate(spec, strategy, 5, 1, segment_limit=k)),
+    ("max_steps", lambda spec, strategy, k: sample_trajectory(spec, strategy, k, 1)),
+    ("seed", lambda spec, strategy, k: sample_trajectory(spec, strategy, 5, k)),
+]
+COUNTED_IDS = ["refute-samples", "refute-seed", "simulate-cycles", "simulate-seed", "simulate-replications",
+               "simulate-segment_limit", "trajectory-max_steps", "trajectory-seed"]
+
+
+class TestLibraryCounts:
+    @pytest.mark.parametrize("name, call", COUNTED_CALLS, ids=COUNTED_IDS)
+    @pytest.mark.parametrize("count", [True, 2.0, 2.5, "3"])
+    def test_count_that_is_not_an_int_is_rejected_not_coerced(self, reference_spec, name, call, count):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(count))}$"):
+            call(reference_spec, degenerate_strategy(3, 3, 2), count)
+
+    @pytest.mark.parametrize("name, call", COUNTED_CALLS, ids=COUNTED_IDS)
+    def test_numpy_integer_is_a_count(self, reference_spec, name, call):
+        # the same result, holding Python ints, so that to_doc writes JSON
+        strategy = degenerate_strategy(3, 3, 2)
+        assert repr(call(reference_spec, strategy, np.int64(50))) == repr(call(reference_spec, strategy, 50))
 
 
 class TestSerialization:

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
-import warnings
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -384,13 +386,13 @@ class TestRefutation:
     @pytest.mark.parametrize(
         "direction, value, best, gap, violations",
         [
-            ("maximize", 8.218536582790142, 9.045617139707938, -0.8270805569177959, 370),
-            ("minimize", 8.218536582790142, 7.04406675845506, -1.1744698243350822, 631),
+            ("maximize", 8.218536582790142, 9.222443727630774, -1.0039071448406318, 377),
+            ("minimize", 8.218536582790142, 7.077365818341213, -1.1411707644489288, 624),
         ],
     )
     def test_flat_half_is_the_flat_refutation_of_its_size(self, monkeypatch, direction, value, best, gap, violations):
-        # the report of the flat refutation of 1001 samples, drawn by the
-        # release before the targeted half, pinned bit for bit
+        # the report of the flat half's 1001 samples, drawn from float32
+        # exponentials, pinned bit for bit
         spec = random_spec(np.random.default_rng(50), 50)
         ratio, seen = tuning.optimizer._ratio, []
 
@@ -496,33 +498,68 @@ class TestRefutation:
             tracemalloc.stop()
         assert peak < 64 * samples
 
-    def test_row_with_a_zero_uniform_is_drawn_again(self):
-        class FirstDrawHasAZero:
-            def __init__(self):
-                self.rng, self.sizes = np.random.default_rng(5), []
+    def test_every_grid_value_is_a_uniform_inside_the_unit_interval(self):
+        class Words:
+            def __init__(self, halves):
+                self.words = halves.astype("<u4").view("<u8")  # halves[2i] is word i's low half
 
-            def random(self, size=None, out=None):
-                self.sizes.append(out.shape if size is None else size)
-                u = self.rng.random(size, out=out)
-                if len(self.sizes) == 1:
-                    u[1, 2] = 0.0  # log 0 = -inf: row 1 sums to -inf
-                return u
+            def random_raw(self, size):
+                assert size == len(self.words)
+                return self.words.copy()
 
-        samples, n = 4, 3
-        sums, first = np.empty(samples), np.empty(samples)
-        stub = FirstDrawHasAZero()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            tuning.optimizer._simplex_dots(stub, np.ones(n), np.eye(n)[0], sums, first)
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        assert stub.sizes == [(samples, n), (1, n)]
-        assert np.isfinite(sums).all() and np.isfinite(first).all()
-        assert np.all(np.abs(sums - 1.0) <= n * np.finfo(float).eps)
-        replay = np.random.default_rng(5)
-        u = replay.random((samples, n))
-        u[1] = replay.random(n)
-        x = np.log(u)
-        assert np.array_equal(first, (x / x.sum(axis=1)[:, None])[:, 0])
+        junk = np.random.default_rng(23)
+        block = 2**20
+        for first in range(0, 2**23, block):
+            k = np.arange(first, first + block, dtype=np.uint32)
+            # each 23-bit k once, over low bits that must not matter
+            halves = k << 9 | junk.integers(0, 2**9, block, dtype=np.uint32)
+            u = tuning.optimizer._uniforms(Words(halves), block)
+            assert u.dtype == np.float32
+            assert np.array_equal(u.astype(np.float64), (2.0 * k + 1.0) * 2.0**-24)
+            assert 0.0 < u.min() and u.max() < 1.0
+            logs = np.log(u)
+            assert logs.dtype == np.float32
+            assert np.isfinite(logs).all() and (logs < 0.0).all()
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_first_draws_are_the_raw_words_low_half_first(self, seed):
+        def stream():
+            return np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,)))
+
+        samples = 5
+        halves = [int(word) >> shift & 0xFFFFFFFF for word in stream().random_raw(samples) for shift in (0, 32)]
+        # U = (2k + 1) 2^-24 in Python floats, exact, as float32 exact too
+        x = np.log(np.array([(2 * (h >> 9) + 1) / 2**24 for h in halves], dtype=np.float32))
+        x = x.astype(np.float64).reshape(samples, 2)
+        first, second = np.empty(samples), np.empty(samples)
+        tuning.optimizer._simplex_dots(np.random.Generator(stream()), np.eye(2)[0], np.eye(2)[1], first, second)
+        assert np.array_equal(first, x[:, 0] / (x[:, 0] + x[:, 1]))
+        assert np.array_equal(second, x[:, 1] / (x[:, 0] + x[:, 1]))
+
+    def test_draws_are_the_same_without_avx512(self):
+        # numpy's float32 log gives the same bits on its AVX2 and AVX-512
+        # loops (its SSE-only baseline does not), so capping the dispatch
+        # below AVX-512 in a child process changes no sample; on a CPU
+        # without AVX-512 both sides run the AVX2 loop
+        probe = (
+            "import numpy as np\n"
+            "from tuning.optimizer import _simplex_dots\n"
+            "inputs = np.random.default_rng(300)\n"
+            "out = np.empty((2, 1000))\n"
+            "_simplex_dots(np.random.Generator(np.random.PCG64(300)), inputs.normal(size=300), inputs.random(300), *out)\n"
+        )
+        here: dict = {}
+        exec(probe, here)
+        src = str(Path(tuning.__file__).resolve().parents[1])
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        child = subprocess.run(
+            [sys.executable, "-c", probe + "import sys; sys.stdout.write(out.tobytes().hex())"],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        there = np.frombuffer(bytes.fromhex(child.stdout)).reshape(2, 1000)
+        differ = int((here["out"] != there).any(axis=0).sum())
+        assert differ == 0, f"{differ} of 1000 samples differ without AVX-512"
 
     @pytest.mark.parametrize("n", [2, 7, 300])
     def test_marginal_is_beta_one_n_minus_one(self, n):
