@@ -156,53 +156,43 @@ def _reaches_boundary(p00: np.ndarray, p01: np.ndarray) -> np.ndarray:
         reach = grown
 
 
+def _array_error(name: str, arr: np.ndarray, shape: tuple[int, ...]) -> Violation | None:
+    """The first of NOT_NUMERIC, BAD_SHAPE and NOT_FINITE that applies to
+    the array field ``name``, which must have ``shape``; None if none does."""
+    if arr.dtype.kind not in "iuf":
+        return Violation("NOT_NUMERIC", f"{name} must hold numbers only", name)
+    if arr.shape != shape:
+        size = f"length {shape[0]}" if len(shape) == 1 else f"shape {shape}"
+        return Violation("BAD_SHAPE", f"{name} must have {size}, got shape {arr.shape}", name)
+    if not np.isfinite(arr).all():
+        return Violation("NOT_FINITE", f"{name} contains NaN or infinity", name)
+    return None
+
+
 def validate_chain(spec: ChainSpec) -> ValidationReport:
     """Check the structural invariants of a model.
 
     Errors: BAD_COUNT (n_internal must be an int >= 1; a bool, float or
-    str is rejected, not converted), NOT_NUMERIC (an array field holds
-    strings, booleans or other non-numbers), BAD_SHAPE, NOT_FINITE,
-    PROB_RANGE, ROW_SUM (each row of [p01 | p00] must sum to 1 within
-    1e-9; no silent renormalization), NO_ABSORPTION (every internal state
-    must reach the boundary through positive-probability transitions).
+    str is rejected, not converted) alone; else each array field's first
+    NOT_NUMERIC, BAD_SHAPE or NOT_FINITE, as validate_strategy finds them;
+    only if none, PROB_RANGE, ROW_SUM (each row of [p01 | p00] must sum to
+    1 within 1e-9; no silent renormalization), NO_ABSORPTION (every internal
+    state must reach the boundary through positive-probability transitions).
     Warnings flag suspicious but legal content such as non-negative
     transfer costs.
     """
-    errors: list[Violation] = []
-    warnings: list[Violation] = []
     n = spec.n_internal
-
     try:
         _check_count("n_internal", n, 1)
     except ValueError as exc:
-        errors.append(Violation("BAD_COUNT", str(exc)))
-        return ValidationReport(tuple(errors), tuple(warnings))
+        return ValidationReport((Violation("BAD_COUNT", str(exc)),), ())
 
-    expected = {
-        "p00": (n, n),
-        "p01": (n, 2),
-        "c": (n,),
-        "d0": (n,),
-        "d1": (n,),
-    }
-    for name, shape in expected.items():
-        arr = getattr(spec, name)
-        got = arr.shape
-        if arr.dtype.kind not in "iuf":
-            errors.append(Violation("NOT_NUMERIC", f"{name} must hold numbers only", name))
-        elif got != shape:
-            errors.append(
-                Violation("BAD_SHAPE", f"{name} must have shape {shape}, got {got}", name)
-            )
+    shapes = {"p00": (n, n), "p01": (n, 2), "c": (n,), "d0": (n,), "d1": (n,)}
+    found = (_array_error(name, getattr(spec, name), shape) for name, shape in shapes.items())
+    errors = [error for error in found if error]
     if errors:
-        # numeric checks assume correct shapes
-        return ValidationReport(tuple(errors), tuple(warnings))
-
-    for name in ("p00", "p01", "c", "d0", "d1"):
-        if not np.isfinite(getattr(spec, name)).all():
-            errors.append(Violation("NOT_FINITE", f"{name} contains NaN or infinity", name))
-    if errors:
-        return ValidationReport(tuple(errors), tuple(warnings))
+        # the checks below need numeric, finite arrays of the right shapes
+        return ValidationReport(tuple(errors), ())
 
     for name in ("p00", "p01"):
         block = getattr(spec, name)
@@ -238,6 +228,7 @@ def validate_chain(spec: ChainSpec) -> ValidationReport:
                 )
             )
 
+    warnings = []
     for name in ("d0", "d1"):
         if (getattr(spec, name) >= 0.0).any():
             warnings.append(
@@ -260,20 +251,8 @@ def validate_strategy(strategy: Strategy, n_internal: int) -> ValidationReport:
     errors: list[Violation] = []
     for name in ("alpha0", "alpha1"):
         vec = getattr(strategy, name)
-        if vec.dtype.kind not in "iuf":
-            errors.append(Violation("NOT_NUMERIC", f"{name} must hold numbers only", name))
-            continue
-        if vec.shape != (n_internal,):
-            errors.append(
-                Violation(
-                    "BAD_SHAPE",
-                    f"{name} must have length {n_internal}, got shape {vec.shape}",
-                    name,
-                )
-            )
-            continue
-        if not np.isfinite(vec).all():
-            errors.append(Violation("NOT_FINITE", f"{name} contains NaN or infinity", name))
+        if error := _array_error(name, vec, (n_internal,)):
+            errors.append(error)
             continue
         negative = np.flatnonzero(vec < 0.0)
         if negative.size:

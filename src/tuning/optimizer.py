@@ -34,7 +34,7 @@ import numpy as np
 from .absorption import analyze_chain, check_positivity
 from .errors import NumericOverflowError, PositivityError
 from .model import ChainSpec, _check_count, _check_label
-from .stationary import _coefficient_tables, _ratio, _rewards
+from .stationary import _ratio, _rewards
 from .stationary import cost_coefficients  # noqa: F401 - perfbench patches this name here
 
 SIGNS = {"maximize": 1.0, "minimize": -1.0}
@@ -151,13 +151,15 @@ def solve_tuning(spec: ChainSpec, direction: str = "maximize") -> OptimalControl
             f"{len(positivity.errors)} absorption probabilities are not strictly "
             f"positive, e.g. {first.message}"
         )
-    # negating the incomes negates every table entry exactly, so the
-    # minimum is found as the maximum of the negated problem
+    # negating the incomes negates every table entry exactly, so the minimum
+    # is the negated problem's maximum; scaling them by 2^-e <= 1 / max|g|,
+    # exact too, keeps its q-values finite (an underflow is below the slack)
     g0, g1 = _rewards(spec, analysis)
+    b0, b1 = analysis.b[:, 0], analysis.b[:, 1]
+    e = np.frexp(max(np.max(np.abs(g0)), np.max(np.abs(g1))))[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        rows, cols = _candidates(s * g0, s * g1, analysis.b[:, 0], analysis.b[:, 1])
-        a, bt = _coefficient_tables(spec, analysis, rows, cols)
-        block = a / bt
+        rows, cols = _candidates(np.ldexp(s * g0, -e), np.ldexp(s * g1, -e), b0, b1)
+        block = _ratio(g0[rows, None], g1[None, cols], b0[None, cols], b1[rows, None])
     # np.argmax returns the first flat index, which is lexicographic in
     # (row, column) order, within the block as in the full table; it picks a
     # NaN entry first, so only a non-finite choice fails, not a finite

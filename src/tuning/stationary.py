@@ -29,8 +29,9 @@ that always restarts at label m0 from boundary 0 and m1 from boundary 1,
     b_table[m0, m1] = b[m0, 1] + b[m1, 0]
     c_table = a_table / b_table
 
-and c_table[m0, m1] equals indicator(degenerate(m0, m1)). Table indices
-are 0-based; add 2 for state labels.
+and c_table[m0, m1] equals indicator(degenerate(m0, m1)); both raise where
+b_table[m0, m1] <= DEGENERACY_TOL. Table indices are 0-based; add 2 for
+state labels.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .absorption import AbsorptionAnalysis
-from .errors import DegenerateChainError, NumericOverflowError, PositivityError
+from .errors import DegenerateChainError, NumericOverflowError
 from .model import ChainSpec, Strategy, _check_strategy
 
 DEGENERACY_TOL = 1e-14
@@ -59,8 +60,8 @@ class CostCoefficients:
 
 def _require_switching(off) -> None:
     """Raise DegenerateChainError unless every off-diagonal mass given
-    exceeds DEGENERACY_TOL."""
-    worst = float(np.min(off))
+    exceeds DEGENERACY_TOL (none given passes)."""
+    worst = float(np.min(off, initial=np.inf))
     if worst <= DEGENERACY_TOL:
         raise DegenerateChainError(
             f"boundary chain has off-diagonal mass {worst!r}, no unique stationary law"
@@ -102,18 +103,13 @@ def visit_income(strategy: Strategy, spec: ChainSpec, analysis: AbsorptionAnalys
     return np.array([float(strategy.alpha0 @ g0), float(strategy.alpha1 @ g1)])
 
 
-def _coefficient_tables(
-    spec: ChainSpec, analysis: AbsorptionAnalysis, rows=slice(None), cols=slice(None)
-) -> tuple[np.ndarray, np.ndarray]:
-    """a_table and b_table restricted to the m0 indices ``rows`` and the m1
-    indices ``cols``; every entry is computed by the same operations as in
-    the full tables, so a sub-block is bitwise equal to the full tables'."""
+def _coefficient_tables(spec: ChainSpec, analysis: AbsorptionAnalysis) -> tuple[np.ndarray, np.ndarray]:
+    """a_table and b_table, _ratio's numerator and denominator for every pair
+    with its products and sums commuted (the same bits): a[m0, m1] =
+    g0[m0] b[m1, 0] + b[m0, 1] g1[m1] and bt[m0, m1] = b[m0, 1] + b[m1, 0]."""
     g0, g1 = _rewards(spec, analysis)
-    b0 = analysis.b[cols, 0]
-    b1 = analysis.b[rows, 1]
-    a = np.outer(g0[rows], b0) + np.outer(b1, g1[cols])
-    bt = np.add.outer(b1, b0)
-    return a, bt
+    b0, b1 = analysis.b[:, 0], analysis.b[:, 1]
+    return np.outer(g0, b0) + np.outer(b1, g1), np.add.outer(b1, b0)
 
 
 def _ratio(rho0, rho1, to0, to1):
@@ -127,18 +123,13 @@ def _ratio(rho0, rho1, to0, to1):
 def cost_coefficients(spec: ChainSpec, analysis: AbsorptionAnalysis) -> CostCoefficients:
     """Build the degenerate-policy tables.
 
-    Raises PositivityError if any b_table entry is not strictly positive,
-    since the ratio c_table is undefined there, and NumericOverflowError
-    when an a_table or c_table entry leaves the float range.
+    Raises DegenerateChainError, as indicator does for that pair, if some
+    b_table entry is at or below DEGENERACY_TOL, and NumericOverflowError
+    when a reward or a c_table entry leaves the float range.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         a, bt = _coefficient_tables(spec, analysis)
-        if (bt <= 0.0).any():
-            i, j = map(int, np.argwhere(bt <= 0.0)[0])
-            raise PositivityError(
-                f"b_table entry for policy ({i + 2}, {j + 2}) is {float(bt[i, j])!r}, "
-                "ratio table is undefined"
-            )
+        _require_switching(bt)
         c = a / bt
     if not np.isfinite(c).all():
         raise NumericOverflowError("degenerate-policy table overflowed the float range")

@@ -44,6 +44,14 @@ OVERFLOW_TABLE = {  # every reward is finite, some table entries a are not
     "d0": [1.5e308, 1.5e308],
     "d1": [1.5e308, 1.5e308],
 }
+OPPOSITE_COSTS = {  # every table entry is 0.0, the q-value step h = 2e308 / 1 is not finite
+    "n_internal": 1, "p00": [[0]], "p01": [[0.5, 0.5]], "c": [0], "d0": [-1e308], "d1": [1e308],
+}
+# valid, but pair (2, 3)'s boundary chain switches with mass 4e-16 <= DEGENERACY_TOL
+ONE_SIDED_EXITS = {
+    "n_internal": 2, "p00": [[0.5, 0], [0, 0.5]], "p01": [[0.5, 1e-16], [1e-16, 0.5]],
+    "c": [1, 2], "d0": [-1, -1], "d1": [-1, -1],
+}
 OVERFLOW_RESIDUAL = {  # r is finite, its residual (I - P00) r is not
     "n_internal": 3,
     "p00": [[0.25, 0.26, 0.06], [0.23, 0.11, 0.16], [0.09, 0.5, 0.37]],

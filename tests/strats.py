@@ -75,3 +75,23 @@ def mutated_alphas(draw, n: int) -> list:
     elif kind == "length":
         alpha = draw(st.sampled_from([alpha[:-1], alpha + [0.0]]))
     return alpha
+
+
+@st.composite
+def one_sided_specs(draw, max_internal: int = 4) -> ChainSpec:
+    """chain_specs() in which a state may keep to itself and exit one way:
+    its exit to the other boundary and its moves to other internal states
+    scaled by 1e-16 or 1e-13 before the row is normalized again, so a pair
+    of such states exiting opposite ways switches sides with a mass below
+    or above DEGENERACY_TOL."""
+    spec = draw(chain_specs(max_internal=max_internal))
+    n = spec.n_internal
+    full = np.hstack([spec.p01, spec.p00])
+    for i in range(n):
+        side = draw(st.sampled_from([0, 1, None]))
+        if side is not None:
+            scale = draw(st.sampled_from([1e-16, 1e-13]))
+            others = [1 - side] + [2 + k for k in range(n) if k != i]
+            full[i, others] *= scale
+    full /= full.sum(axis=1)[:, None]
+    return ChainSpec(n_internal=n, p00=full[:, 2:], p01=full[:, :2], c=spec.c, d0=spec.d0, d1=spec.d1)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from tuning import simulate_replicated, solve_tuning
 from tuning.cli import main
 
-from conftest import OVERFLOW_RESIDUAL, OVERFLOW_REWARD, OVERFLOW_TABLE
+from conftest import ONE_SIDED_EXITS, OPPOSITE_COSTS, OVERFLOW_RESIDUAL, OVERFLOW_REWARD, OVERFLOW_TABLE
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str]:
@@ -190,6 +190,19 @@ class TestTableCommand:
         assert abs(float(rows[1][1]) - 1.0) <= 1e-12
         assert abs(float(rows[1][2]) - 5 / 6) <= 1e-12
 
+    @pytest.mark.parametrize("which", ["c", "a", "b"])
+    def test_pair_that_never_switches_fails_as_in_indicator(self, capsys, tmp_path, which):
+        path = str(write_json(tmp_path / "model.json", ONE_SIDED_EXITS))
+        status, out = run_cli(capsys, "table", path, "--which", which)
+        assert status == 3
+        assert json.loads(out)["error"] == {
+            "code": "DEGENERATE_CHAIN",
+            "message": "boundary chain has off-diagonal mass 4e-16, no unique stationary law",
+        }
+        for route in ("embedded", "ratio", "fractional"):
+            status, route_out = run_cli(capsys, "indicator", path, "--degenerate", "2", "3", "--route", route)
+            assert (status, route_out) == (3, out)
+
 
 class TestSolveCommand:
     def test_maximize(self, capsys, reference_model_file):
@@ -238,6 +251,16 @@ class TestSolveCommand:
         assert doc["value"] == 1e308
         # every strategy is worth 1e308, so the gap is rounding alone
         assert abs(doc["refutation"]["gap"]) <= 4 * np.spacing(1e308)
+
+    @pytest.mark.parametrize("direction", ["max", "min"])
+    def test_finite_table_with_overflowing_q_values_is_solved(self, capsys, tmp_path, direction):
+        path = write_json(tmp_path / "model.json", OPPOSITE_COSTS)
+        status, out = run_cli(capsys, "solve", str(path), "--direction", direction)
+        assert status == 0
+        doc = json.loads(out)
+        assert (doc["m0_star"], doc["m1_star"], doc["value"]) == (2, 2, 0.0)
+        status, out = run_cli(capsys, "table", str(path))
+        assert (status, out) == (0, "m0\\m1,2\n2,0.0\n")
 
     def test_zero_minimize_gap_is_positive_zero(self, capsys, tmp_path):
         # one state, one strategy: every sample equals the minimum exactly

@@ -114,6 +114,25 @@ class TestValidateChain:
         report = validate_chain(spec)
         assert codes(report) == ["BAD_SHAPE"]
         assert report.errors[0].where == "c"
+        assert report.errors[0].message == "c must have length 2, got shape (1,)"
+
+    def test_bad_matrix_shape_names_both_shapes(self, reference_spec):
+        doc = {**to_doc(reference_spec), "p00": np.eye(3).tolist()}
+        [error] = validate_chain(chain_spec_from_dict(doc)).errors
+        assert (error.code, error.message) == ("BAD_SHAPE", "p00 must have shape (2, 2), got shape (3, 3)")
+
+    def test_every_field_is_reported_in_one_pass(self, reference_spec):
+        doc = {**to_doc(reference_spec), "c": [1.0], "d0": [-0.5, np.nan]}
+        report = validate_chain(chain_spec_from_dict(doc))
+        assert [(v.code, v.where) for v in report.errors] == [("BAD_SHAPE", "c"), ("NOT_FINITE", "d0")]
+
+    @pytest.mark.parametrize("vector", [["0.5", "0.5"], [True, False], [0.5], [0.5, 0.5, 0.0], [[0.5, 0.5]],
+                                        [np.nan, 0.5], [np.inf, -np.inf]])
+    def test_model_and_strategy_vectors_are_checked_alike(self, reference_spec, vector):
+        [chain_error] = validate_chain(chain_spec_from_dict({**to_doc(reference_spec), "d1": vector})).errors
+        [strategy_error] = validate_strategy(strategy_from_dict({"alpha0": vector, "alpha1": [0.5, 0.5]}), 2).errors
+        assert chain_error.code == strategy_error.code
+        assert chain_error.message == strategy_error.message.replace("alpha0", "d1")
 
     def test_bad_count(self):
         spec = ChainSpec(n_internal=0, p00=[[]], p01=[[]], c=[], d0=[], d1=[])

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 import tuning.optimizer
@@ -162,6 +163,22 @@ class TestSolveTuning:
                 d1=2.0**power * base.d1,
             )
             assert_matches_table_scan(scaled, direction)
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=chain_specs(max_internal=4), data=st.data())
+    @pytest.mark.parametrize("direction", ["maximize", "minimize"])
+    def test_huge_opposite_sign_costs_match_table_scan(self, spec, data, direction):
+        # the q-value step h = (g1[m1] - g0[m0]) / (b1[m0] + b0[m1]) can
+        # overflow where no table entry does
+        n = spec.n_internal
+        costs = st.lists(st.floats(min_value=0.0, max_value=1.6e308), min_size=n, max_size=n)
+        d0, d1 = -np.array(data.draw(costs)), np.array(data.draw(costs))
+        huge = dataclasses.replace(spec, c=np.zeros(n), d0=d0, d1=d1)
+        try:
+            c_table(huge)
+        except NumericOverflowError:
+            return  # a table entry overflows, and so may the scan's pick
+        assert_matches_table_scan(huge, direction)
 
     def test_unknown_direction(self, reference_spec):
         with pytest.raises(ValueError, match="direction"):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,6 @@ from tuning import (
     ChainSpec,
     DegenerateChainError,
     NumericOverflowError,
-    PositivityError,
     Strategy,
     analyze_chain,
     cost_coefficients,
@@ -21,7 +22,7 @@ from tuning import (
 
 from conftest import OVERFLOW_REWARD, OVERFLOW_TABLE, REF_C_TABLE, REF_PI, REF_RHO
 from oracles import exact_indicator, exact_tables
-from strats import spec_strategy_pairs
+from strats import one_sided_specs, spec_strategy_pairs
 
 
 @pytest.fixture
@@ -140,7 +141,8 @@ class TestCostCoefficients:
         assert coeffs.c_table.tolist() == [[0.0]]
 
     def test_split_boundaries_raise(self):
-        # restart pair (2, 3) can reach neither opposite boundary: zero denominator
+        # restart pair (2, 3) can reach neither opposite boundary: zero
+        # denominator, where indicator raises the same error
         spec = ChainSpec(
             n_internal=2,
             p00=[[0.0, 0.0], [0.0, 0.0]],
@@ -149,8 +151,30 @@ class TestCostCoefficients:
             d0=[-1.0, -1.0],
             d1=[-1.0, -1.0],
         )
-        with pytest.raises(PositivityError):
+        with pytest.raises(DegenerateChainError, match="off-diagonal mass 0.0"):
             cost_coefficients(spec, analyze_chain(spec))
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=one_sided_specs())
+    def test_table_exists_exactly_where_every_pair_switches(self, spec):
+        # either the table fails as indicator does on some pair, or every
+        # entry is that pair's indicator value
+        analysis = analyze_chain(spec)
+        values, degenerate = {}, []
+        for m0, m1 in itertools.product(spec.internal_labels(), repeat=2):
+            strategy = degenerate_strategy(m0, m1, spec.n_internal)
+            try:
+                values[m0, m1] = indicator(strategy, spec, analysis, route="ratio")
+            except DegenerateChainError:
+                degenerate.append((m0, m1))
+        try:
+            table = cost_coefficients(spec, analysis).c_table
+        except DegenerateChainError:
+            assert degenerate
+            return
+        assert not degenerate
+        for (m0, m1), value in values.items():
+            assert abs(table[m0 - 2, m1 - 2] - value) <= 1e-12 * abs(value)
 
 
 class TestFloatRange:
