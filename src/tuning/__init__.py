@@ -47,7 +47,6 @@ from .simulator import (
     TrajectoryEvent,
     sample_trajectory,
     simulate,
-    simulate_replicated,
 )
 from .stationary import (
     CostCoefficients,
@@ -90,7 +89,6 @@ __all__ = [
     "refute_with_random_strategies",
     "sample_trajectory",
     "simulate",
-    "simulate_replicated",
     "solve_tuning",
     "stationary_distribution",
     "strategy_from_dict",

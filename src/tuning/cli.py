@@ -17,7 +17,6 @@ import argparse
 import csv
 import io
 import json
-import os
 
 from .absorption import analyze_chain, check_positivity
 from .errors import TuningError
@@ -34,15 +33,14 @@ from .model import (
     validate_strategy,
 )
 from .optimizer import refute_with_random_strategies, solve_tuning
-from .simulator import DEFAULT_SEGMENT_LIMIT, sample_trajectory, simulate_replicated
+from .simulator import DEFAULT_SEGMENT_LIMIT, sample_trajectory
+from .simulator import simulate as simulate_replicated  # the name perfbench's traced runs patch
 from .stationary import ROUTES, cost_coefficients, indicator
 
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
-
-SEED_ENV_VAR = "TUNING_SEED"
 
 
 class _Invalid(Exception):
@@ -97,16 +95,6 @@ def _load_strategy(args: argparse.Namespace, spec: ChainSpec) -> Strategy:
     return strategy
 
 
-def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    raw = os.environ.get(SEED_ENV_VAR, "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
-
-
 def _csv_text(header: list, rows: list[list]) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
@@ -125,12 +113,6 @@ def _analyze(args, spec, report) -> dict:
     doc = {**to_doc(analysis), "positivity_ok": positivity.ok}
     if not positivity.ok:
         doc["positivity"] = [to_doc(v) for v in positivity.errors]
-    if args.csv:
-        rows = [
-            [label, analysis.b[i, 0], analysis.b[i, 1], analysis.r[i]]
-            for i, label in enumerate(spec.internal_labels())
-        ]
-        _emit(_csv_text(["state", "b0", "b1", "r"], rows), args.csv)
     return doc
 
 
@@ -149,28 +131,25 @@ def _table(args, spec, report) -> str:
 
 
 def _solve(args, spec, report) -> dict:
-    seed = _resolve_seed(args.seed)
     control = solve_tuning(spec, {"max": "maximize", "min": "minimize"}[args.direction])
     doc = to_doc(control)
     if args.refute_samples != 0:  # a negative count is refutation's to reject
-        rep = refute_with_random_strategies(spec, control, args.refute_samples, seed)
+        rep = refute_with_random_strategies(spec, control, args.refute_samples, args.seed)
         doc["refutation"] = to_doc(rep)
     return doc
 
 
 def _simulate(args, spec, report) -> dict:
-    seed = _resolve_seed(args.seed)
     strategy = _load_strategy(args, spec)
     stats = simulate_replicated(
-        spec, strategy, args.cycles, seed, args.replications, segment_limit=args.segment_limit
+        spec, strategy, args.cycles, args.seed, args.replications, segment_limit=args.segment_limit
     )
-    return {**to_doc(stats), "seed": seed, "replications": args.replications}
+    return {**to_doc(stats), "seed": args.seed, "replications": args.replications}
 
 
 def _trajectory(args, spec, report) -> str:
-    seed = _resolve_seed(args.seed)
     strategy = _load_strategy(args, spec)
-    events = sample_trajectory(spec, strategy, args.max_steps, seed)
+    events = sample_trajectory(spec, strategy, args.max_steps, args.seed)
     rows = [[e.step, e.state, e.event_kind, e.income_delta] for e in events]
     return _csv_text(["step", "state", "event_kind", "income_delta"], rows)
 
@@ -204,14 +183,11 @@ def build_parser() -> argparse.ArgumentParser:
                            help="deterministic restart labels for boundary 0 and 1")
 
     def seed_option(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", default=None, type=int,
-                       help=f"RNG seed (default: ${SEED_ENV_VAR} if set, else 0)")
+        p.add_argument("--seed", default=0, type=int, help="RNG seed (default: 0)")
 
     command("validate", _validate, "check a model file and report violations")
 
-    p = command("analyze", _analyze, "absorption probabilities and per-segment income")
-    p.add_argument("--csv", default=None, metavar="PATH",
-                   help="also write a per-state CSV table here")
+    command("analyze", _analyze, "absorption probabilities and per-segment income")
 
     p = command("indicator", _indicator, "long-run average income of one strategy")
     strategy_source(p)

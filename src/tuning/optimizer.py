@@ -295,5 +295,6 @@ def refute_with_random_strategies(
         raise NumericOverflowError("a sampled strategy's value overflowed the float range")
     best = float(np.max(values))  # in the maximize frame
     violations = int((values > bound).sum())
-    gap = s * control.value - best  # not s * (value - s * best), which is -0.0 at a zero gap
-    return RefutationReport(int(samples), int(seed), DOMINANCE_TOL, s * best, gap, violations)
+    # + 0.0 turns the -0.0 that minimizing makes of a zero into 0.0 and leaves every other value
+    gap = s * control.value - best + 0.0
+    return RefutationReport(int(samples), int(seed), DOMINANCE_TOL, s * best + 0.0, gap, violations)

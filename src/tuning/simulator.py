@@ -275,9 +275,6 @@ def simulate(
     )
 
 
-simulate_replicated = simulate
-
-
 def sample_trajectory(
     spec: ChainSpec,
     strategy: Strategy,

@@ -16,10 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tuning import simulate_replicated, solve_tuning
+from tuning import simulate, solve_tuning
 from tuning.cli import main
 
-from conftest import ONE_SIDED_EXITS, OPPOSITE_COSTS, OVERFLOW_RESIDUAL, OVERFLOW_REWARD, OVERFLOW_TABLE
+from conftest import ONE_SIDED_EXITS, OPPOSITE_COSTS, OVERFLOW_RESIDUAL, OVERFLOW_REWARD, OVERFLOW_TABLE, REFERENCE
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str]:
@@ -98,16 +98,13 @@ class TestAnalyzeCommand:
         assert abs(doc["r"][1] - 10 / 3) <= 1e-12
         assert doc["positivity_ok"] is True
 
-    def test_csv_side_channel(self, capsys, reference_model_file, tmp_path):
+    def test_csv_option_is_usage_error(self, capsys, reference_model_file, tmp_path):
+        # b and r reach the user through the document alone
         csv_path = tmp_path / "per_state.csv"
-        status, _ = run_cli(
-            capsys, "analyze", str(reference_model_file), "--csv", str(csv_path)
-        )
-        assert status == 0
-        rows = list(csv.reader(io.StringIO(csv_path.read_text())))
-        assert rows[0] == ["state", "b0", "b1", "r"]
-        assert [row[0] for row in rows[1:]] == ["2", "3"]
-        assert abs(float(rows[1][3]) - 2.5) <= 1e-12
+        status, out = run_cli(capsys, "analyze", str(reference_model_file), "--csv", str(csv_path))
+        assert status == 2
+        assert "--csv" in usage_message(out)
+        assert not csv_path.exists()
 
     def test_echo_model_round_trips_byte_identically(self, capsys, reference_model_file, tmp_path):
         echo_path = tmp_path / "echo.json"
@@ -329,7 +326,7 @@ class TestSimulateCommand:
             "6",
         )
         doc = json.loads(out)
-        stats = simulate_replicated(
+        stats = simulate(
             reference_spec, degenerate_strategy(3, 3, 2), 500, seed=6, replications=3
         )
         assert doc["cycles"] == stats.cycles == 1500
@@ -414,45 +411,29 @@ class TestTrajectoryCommand:
         assert first[:3] == ["0", "2", "free_move"]
 
 
-class TestSeedResolution:
-    def test_env_var_supplies_default(self, capsys, reference_model_file, monkeypatch):
-        monkeypatch.setenv("TUNING_SEED", "42")
-        argv = ("simulate", str(reference_model_file), "--degenerate", "3", "3", "--cycles", "500")
-        status, from_env = run_cli(capsys, *argv)
-        assert status == 0
-        monkeypatch.delenv("TUNING_SEED")
-        status, explicit = run_cli(capsys, *argv, "--seed", "42")
-        assert from_env == explicit
-
-    def test_explicit_seed_wins_over_env(self, capsys, reference_model_file, monkeypatch):
-        monkeypatch.setenv("TUNING_SEED", "1")
-        argv = ("simulate", str(reference_model_file), "--degenerate", "3", "3", "--cycles", "500")
-        status, with_env_override = run_cli(capsys, *argv, "--seed", "42")
-        monkeypatch.delenv("TUNING_SEED")
-        status, explicit = run_cli(capsys, *argv, "--seed", "42")
-        assert with_env_override == explicit
-
-    def test_bad_env_seed_is_usage_error(self, capsys, reference_model_file, monkeypatch):
-        monkeypatch.setenv("TUNING_SEED", "not-a-number")
-        status, out = run_cli(
-            capsys, "simulate", str(reference_model_file), "--degenerate", "3", "3"
-        )
-        assert status == 2
-        assert json.loads(out)["error"]["code"] == "USAGE"
-
+class TestSeedComesFromTheOptionOnly:
+    @pytest.mark.parametrize("env", [None, "42", "x"], ids=["unset", "set", "bad"])
     @pytest.mark.parametrize(
-        "command", [("validate",), ("analyze",), ("table",), ("indicator", "--degenerate", "3", "3")]
+        "command",
+        [
+            ("solve", "--refute-samples", "50"),
+            ("simulate", "--degenerate", "3", "3", "--cycles", "500"),
+            ("trajectory", "--degenerate", "3", "3", "--max-steps", "30"),
+        ],
+        ids=["solve", "simulate", "trajectory"],
     )
-    def test_bad_env_seed_is_ignored_without_seed_option(
-        self, capsys, reference_model_file, monkeypatch, command
+    def test_default_seed_is_zero_whatever_the_environment(
+        self, capsys, reference_model_file, monkeypatch, command, env
     ):
+        if env is None:
+            monkeypatch.delenv("TUNING_SEED", raising=False)
+        else:
+            monkeypatch.setenv("TUNING_SEED", env)
         argv = (command[0], str(reference_model_file), *command[1:])
-        monkeypatch.delenv("TUNING_SEED", raising=False)
-        status, clean = run_cli(capsys, *argv)
-        monkeypatch.setenv("TUNING_SEED", "x")
-        status_with_env, with_env = run_cli(capsys, *argv)
-        assert status == status_with_env == 0
-        assert with_env == clean
+        status, default = run_cli(capsys, *argv)
+        status_zero, explicit = run_cli(capsys, *argv, "--seed", "0")
+        assert status == status_zero == 0
+        assert default == explicit
 
 
 class TestNumericFailureExits:
@@ -547,6 +528,19 @@ class TestFloatRange:
         assert json.loads(out) == {
             "direction": "minimize", "m0_star": 3, "m1_star": 2, "value": 1.4999999999999998e308,
         }
+
+    @pytest.mark.parametrize("direction", ["max", "min"])
+    @pytest.mark.parametrize(
+        "model",
+        [{"n_internal": 1, "p00": [[0]], "p01": [[0.5, 0.5]], "c": [0], "d0": [-1], "d1": [1]}, OPPOSITE_COSTS],
+        ids=["cancelling-costs", "opposite-costs"],
+    )
+    def test_refutation_at_a_zero_optimum_prints_no_negative_zero(self, capsys, tmp_path, model, direction):
+        path = write_json(tmp_path / "model.json", model)
+        status, out = run_cli(capsys, "solve", str(path), "--direction", direction, "--refute-samples", "10")
+        assert status == 0
+        assert json.loads(out)["refutation"]["best_observed"] == 0.0
+        assert "-0.0" not in out
 
     def test_embedded_route_of_a_finite_value_is_kept(self, capsys, tmp_path):
         path = write_json(tmp_path / "model.json", OVERFLOW_TABLE)
@@ -659,6 +653,90 @@ class TestEveryInputEndsInADocument:
                     json.loads(text, parse_constant=_reject_constant)
 
 
+# a valid invocation of each command on the reference model: its option
+# groups after the model path
+_VALID_GROUPS = {
+    "validate": [],
+    "analyze": [],
+    "indicator": [["--degenerate", "2", "3"], ["--route", "ratio"]],
+    "table": [["--which", "a"]],
+    "solve": [["--direction", "min"], ["--refute-samples", "20"], ["--seed", "1"]],
+    "simulate": [["--degenerate", "3", "2"], ["--cycles", "50"], ["--replications", "2"],
+                 ["--segment-limit", "2000"], ["--seed", "1"]],
+    "trajectory": [["--degenerate", "3", "3"], ["--max-steps", "30"], ["--seed", "1"]],
+}
+# negative, zero, non-integer and out-of-range counts and labels, unknown choices
+_BAD_VALUES = ["-1", "0", "1", "4", "99", "1.5", "1e3", "abc", "", "sideways"]
+# unknown flags (the removed --csv among them), a second strategy source,
+# bad choices and the output files, in every directory state
+_EXTRA_GROUPS = [
+    ["--csv", "{tmp}/side.csv"], ["--csv"], ["--bogus"], ["-x", "1"],
+    ["--route", "sideways"], ["--which", "d"], ["--direction", "up"], ["--seed", "-4"],
+    ["--strategy", "{tmp}/strategy.json"], ["--strategy", "{tmp}/absent.json"],
+    ["--strategy", "{tmp}/garbage.json"], ["--echo-model", "{tmp}/echo.json"],
+    ["--echo-model", "{tmp}/nodir/echo.json"], ["-o", "{tmp}/out"], ["-o", "{tmp}/nodir/out"],
+]
+# their paths stay inside the test's directory
+_PATH_OPTIONS = ("--csv", "--strategy", "--echo-model", "-o")
+# a valid model, a missing file, a file that is not JSON, a directory, a
+# valid model whose results overflow
+_MODEL_PATHS = ["{tmp}/model.json", "{tmp}/absent.json", "{tmp}/garbage.json", "{tmp}", "{tmp}/overflow.json"]
+
+
+@st.composite
+def mutated_argv(draw) -> list[str]:
+    """One command's valid argv with one to three mutations: an option group
+    dropped or doubled, a value replaced by a bad one, a group added, or the
+    model path replaced."""
+    command = draw(st.sampled_from(sorted(_VALID_GROUPS)))
+    groups = [list(group) for group in _VALID_GROUPS[command]]
+    model = _MODEL_PATHS[0]
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        kind = draw(st.sampled_from(["drop", "double", "value", "add", "model"]))
+        if kind == "add":
+            groups.append(list(draw(st.sampled_from(_EXTRA_GROUPS))))
+        elif kind == "model":
+            model = draw(st.sampled_from(_MODEL_PATHS[1:]))
+        elif groups:
+            i = draw(st.integers(min_value=0, max_value=len(groups) - 1))
+            if kind == "drop":
+                del groups[i]
+            elif kind == "double":
+                groups.insert(i, list(groups[i]))
+            elif len(groups[i]) > 1 and groups[i][0] not in _PATH_OPTIONS:
+                j = draw(st.integers(min_value=1, max_value=len(groups[i]) - 1))
+                groups[i][j] = draw(st.sampled_from(_BAD_VALUES))
+    return [command, model, *(token for group in groups for token in group)]
+
+
+class TestEveryArgvEndsInADocumentedExit:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(argv=mutated_argv())
+    def test_mutated_argv_exits_with_one_document(self, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            write_json(Path(tmp) / "model.json", REFERENCE)
+            write_json(Path(tmp) / "overflow.json", OVERFLOW_REWARD)
+            write_json(Path(tmp) / "strategy.json", {"alpha0": [0.5, 0.5], "alpha1": [1.0, 0.0]})
+            (Path(tmp) / "garbage.json").write_text("{not json")
+            argv = [token.format(tmp=tmp) for token in argv]
+            out = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                warnings.simplefilter("error")
+                status = main(argv)
+            assert status in (0, 1, 2, 3), argv
+            output_file = Path(tmp) / "out"
+            # the document goes to exactly one of stdout and -o
+            assert (out.getvalue() == "") == output_file.exists(), argv
+            text = out.getvalue() or output_file.read_text(encoding="utf-8")
+            assert not (Path(tmp) / "side.csv").exists(), argv
+        if status == 0 and argv[0] in ("table", "trajectory"):
+            rows = list(csv.reader(io.StringIO(text)))
+            assert len(rows) > 1 and len({len(row) for row in rows}) == 1, argv
+        else:
+            assert isinstance(json.loads(text, parse_constant=_reject_constant), dict), argv
+
+
 def usage_message(out: str) -> str:
     """The message of a USAGE document, asserting that ``out`` is one."""
     error = json.loads(out)["error"]
@@ -741,30 +819,28 @@ class TestOutputFile:
         assert json.loads(out_path.read_text())["m0_star"] == 3
 
     @pytest.mark.parametrize(
-        "model, command, seed_env, expected_status",
+        "model, command, expected_status",
         [
-            (None, ("validate",), None, 0),
-            (None, ("analyze",), None, 0),
-            (None, ("indicator", "--degenerate", "3", "3"), None, 0),
-            (None, ("table", "--which", "a"), None, 0),
-            (None, ("solve", "--refute-samples", "50", "--seed", "2"), None, 0),
-            (None, ("simulate", "--degenerate", "3", "3", "--cycles", "300", "--seed", "5"), None, 0),
-            (None, ("trajectory", "--degenerate", "3", "3", "--max-steps", "20", "--seed", "5"), None, 0),
+            (None, ("validate",), 0),
+            (None, ("analyze",), 0),
+            (None, ("indicator", "--degenerate", "3", "3"), 0),
+            (None, ("table", "--which", "a"), 0),
+            (None, ("solve", "--refute-samples", "50", "--seed", "2"), 0),
+            (None, ("simulate", "--degenerate", "3", "3", "--cycles", "300", "--seed", "5"), 0),
+            (None, ("trajectory", "--degenerate", "3", "3", "--max-steps", "20", "--seed", "5"), 0),
             ({"n_internal": 1, "p00": [[0.5]], "p01": [[0.2, 0.2]], "c": [1.0], "d0": [-1.0], "d1": [-1.0]},
-             ("validate",), None, 1),
+             ("validate",), 1),
             ({"n_internal": 1, "p00": [[1.0]], "p01": [[5e-301, 5e-301]], "c": [1.0], "d0": [-1.0], "d1": [-1.0]},
-             ("analyze",), None, 3),
-            (None, ("simulate", "--degenerate", "3", "3"), "x", 2),
+             ("analyze",), 3),
+            (None, ("simulate", "--degenerate", "3", "3", "--seed", "-4"), 2),
         ],
         ids=["validate", "analyze", "indicator", "table", "solve", "simulate", "trajectory",
-             "invalid-report", "numeric-error", "bad-env-seed"],
+             "invalid-report", "numeric-error", "handler-usage-error"],
     )
     def test_output_file_holds_exactly_what_stdout_would(
-        self, capsys, monkeypatch, tmp_path, reference_model_file, model, command, seed_env, expected_status
+        self, capsys, tmp_path, reference_model_file, model, command, expected_status
     ):
         model_file = reference_model_file if model is None else write_json(tmp_path / "model.json", model)
-        if seed_env is not None:
-            monkeypatch.setenv("TUNING_SEED", seed_env)
         argv = (command[0], str(model_file), *command[1:])
         status, stdout = run_cli(capsys, *argv)
         out_path = tmp_path / "result"

@@ -38,7 +38,6 @@ def test_every_readme_command_runs(capsys, monkeypatch, tmp_path):
     _in_readme_dir(monkeypatch, tmp_path)
     [strategy] = [block for block in fenced("json") if '"alpha0"' in block]
     (tmp_path / "my_strategy.json").write_text(strategy)
-    monkeypatch.delenv("TUNING_SEED", raising=False)
 
     commands = readme_commands()
     assert {argv[0] for argv in commands} == {

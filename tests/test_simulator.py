@@ -21,7 +21,6 @@ from tuning import (
     indicator,
     sample_trajectory,
     simulate,
-    simulate_replicated,
     validate_strategy,
     visit_income,
 )
@@ -150,7 +149,7 @@ class TestSimulate:
 class TestReplications:
     def test_pooling_matches_manual_merge(self, reference_spec):
         strategy = degenerate_strategy(3, 3, 2)
-        pooled = simulate_replicated(reference_spec, strategy, 1_000, seed=5, replications=3)
+        pooled = simulate(reference_spec, strategy, 1_000, seed=5, replications=3)
         assert pooled.cycles == 3_000
 
         totals, counts = 0.0, [0, 0]
@@ -165,7 +164,7 @@ class TestReplications:
 
     def test_one_replication_equals_simulate(self, reference_spec):
         strategy = degenerate_strategy(3, 3, 2)
-        assert simulate_replicated(
+        assert simulate(
             reference_spec, strategy, 2_000, seed=9, replications=1
         ) == simulate(reference_spec, strategy, 2_000, seed=9)
 
@@ -177,8 +176,8 @@ class TestReplications:
 
     def test_std_error_shrinks_with_replications(self, reference_spec):
         strategy = degenerate_strategy(3, 3, 2)
-        one = simulate_replicated(reference_spec, strategy, 2_000, seed=5, replications=1)
-        many = simulate_replicated(reference_spec, strategy, 2_000, seed=5, replications=8)
+        one = simulate(reference_spec, strategy, 2_000, seed=5, replications=1)
+        many = simulate(reference_spec, strategy, 2_000, seed=5, replications=8)
         assert many.std_error < one.std_error
 
 
