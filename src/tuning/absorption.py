@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericOverflowError, SingularSystemError
-from .model import ChainSpec, ValidationReport, Violation, _frozen
+from .model import ChainSpec, ValidationReport, _frozen, _state_findings
 
 RESIDUAL_TOL = 1e-10
 POSITIVITY_EPS = 1e-12
@@ -97,14 +97,7 @@ def check_positivity(analysis: AbsorptionAnalysis) -> ValidationReport:
     of the long-run income and the degenerate-policy reduction. The check
     is advisory at analysis time and enforced before solving.
     """
-    errors = []
-    for i, j in zip(*np.nonzero(analysis.b <= POSITIVITY_EPS)):
-        errors.append(
-            Violation(
-                "B_NOT_POSITIVE",
-                f"absorption probability from state {i + 2} to boundary {j} "
-                f"is {float(analysis.b[i, j])!r} (<= {POSITIVITY_EPS!r})",
-                int(i + 2),
-            )
-        )
+    errors = _state_findings("B_NOT_POSITIVE", analysis.b <= POSITIVITY_EPS, lambda label, j: (
+        f"absorption probability from state {label} to boundary {j} "
+        f"is {float(analysis.b[label - 2, j])!r} (<= {POSITIVITY_EPS!r})"))
     return ValidationReport(tuple(errors), ())

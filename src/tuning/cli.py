@@ -166,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name: str, handler, summary: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, parser=p)  # main reports leftover arguments through it
         p.add_argument("model", help="path to a model JSON file")
         p.add_argument("-o", "--output", default=None,
                        help="write the result document here instead of stdout")
@@ -222,7 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args, unknown = build_parser().parse_known_args(argv)
+        if unknown:
+            args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     except SystemExit as exc:
         return 0 if exc.code is None else int(exc.code)
     try:

@@ -156,6 +156,12 @@ def _reaches_boundary(p00: np.ndarray, p01: np.ndarray) -> np.ndarray:
         reach = grown
 
 
+def _state_findings(code: str, mask: np.ndarray, message) -> list[Violation]:
+    """One ``code`` Violation per True entry (i, ...) of ``mask``, in np.nonzero
+    order, at state label i + 2, with the text message(label, ...)."""
+    return [Violation(code, message(int(i) + 2, *rest), int(i) + 2) for i, *rest in zip(*np.nonzero(mask))]
+
+
 def _array_error(name: str, arr: np.ndarray, shape: tuple[int, ...]) -> Violation | None:
     """The first of NOT_NUMERIC, BAD_SHAPE and NOT_FINITE that applies to
     the array field ``name``, which must have ``shape``; None if none does."""
@@ -196,37 +202,17 @@ def validate_chain(spec: ChainSpec) -> ValidationReport:
 
     for name in ("p00", "p01"):
         block = getattr(spec, name)
-        bad_rows = np.flatnonzero(((block < 0.0) | (block > 1.0)).any(axis=1))
-        for i in bad_rows:
-            errors.append(
-                Violation(
-                    "PROB_RANGE",
-                    f"{name} row for state {i + 2} has entries outside [0, 1]",
-                    int(i + 2),
-                )
-            )
+        errors += _state_findings("PROB_RANGE", ((block < 0.0) | (block > 1.0)).any(axis=1), lambda label: (
+            f"{name} row for state {label} has entries outside [0, 1]"))
 
     with np.errstate(over="ignore"):  # entries far above 1 are reported as PROB_RANGE
         row_sums = spec.p00.sum(axis=1) + spec.p01.sum(axis=1)
-    for i in np.flatnonzero(np.abs(row_sums - 1.0) > ROW_SUM_TOL):
-        errors.append(
-            Violation(
-                "ROW_SUM",
-                f"transition row for state {i + 2} sums to {float(row_sums[i])!r}, not 1",
-                int(i + 2),
-            )
-        )
+    errors += _state_findings("ROW_SUM", np.abs(row_sums - 1.0) > ROW_SUM_TOL, lambda label: (
+        f"transition row for state {label} sums to {float(row_sums[label - 2])!r}, not 1"))
 
     if not any(v.code == "PROB_RANGE" for v in errors):
-        reach = _reaches_boundary(spec.p00, spec.p01)
-        for i in np.flatnonzero(~reach):
-            errors.append(
-                Violation(
-                    "NO_ABSORPTION",
-                    f"state {i + 2} cannot reach the boundary, absorption is not certain",
-                    int(i + 2),
-                )
-            )
+        errors += _state_findings("NO_ABSORPTION", ~_reaches_boundary(spec.p00, spec.p01), lambda label: (
+            f"state {label} cannot reach the boundary, absorption is not certain"))
 
     warnings = []
     for name in ("d0", "d1"):

@@ -92,6 +92,14 @@ def _improve(g0, g1, b0, b1, m0: int, m1: int) -> tuple[float, np.ndarray, np.nd
     return h, g0 + b1 * h, g1 - b0 * h
 
 
+def _frame(s: float, g0, g1) -> tuple[np.ndarray, np.ndarray, int]:
+    """s * g0 and s * g1 times 2^-e, each below 1 in size, and e, the exponent
+    of max|g|: the solver's and the refutation's frame, in which every table
+    entry is the raw one times s 2^-e, exactly outside the subnormal range."""
+    e = np.frexp(max(np.max(np.abs(g0)), np.max(np.abs(g1))))[1]
+    return np.ldexp(s * g0, -e), np.ldexp(s * g1, -e), e
+
+
 def _policy_iteration(g0, g1, b0, b1) -> tuple[float, float, np.ndarray, np.ndarray]:
     """Maximize the pair value; return the value, h and q-values of the last pair.
 
@@ -151,14 +159,11 @@ def solve_tuning(spec: ChainSpec, direction: str = "maximize") -> OptimalControl
             f"{len(positivity.errors)} absorption probabilities are not strictly "
             f"positive, e.g. {first.message}"
         )
-    # negating the incomes negates every table entry exactly, so the minimum
-    # is the negated problem's maximum; scaling them by 2^-e <= 1 / max|g|,
-    # exact too, keeps its q-values finite (an underflow is below the slack)
     g0, g1 = _rewards(spec, analysis)
     b0, b1 = analysis.b[:, 0], analysis.b[:, 1]
-    e = np.frexp(max(np.max(np.abs(g0)), np.max(np.abs(g1))))[1]
+    f0, f1, _ = _frame(s, g0, g1)  # an underflow there is below the slack
     with np.errstate(over="ignore", invalid="ignore"):
-        rows, cols = _candidates(np.ldexp(s * g0, -e), np.ldexp(s * g1, -e), b0, b1)
+        rows, cols = _candidates(f0, f1, b0, b1)
         block = _ratio(g0[rows, None], g1[None, cols], b0[None, cols], b1[rows, None])
     # np.argmax returns the first flat index, which is lexicographic in
     # (row, column) order, within the block as in the full table; it picks a
@@ -191,12 +196,11 @@ def _simplex_dots(rng: np.random.Generator, u, v, out_u: np.ndarray, out_v: np.n
     CHUNK_ELEMENTS // n rows, at least 8 (a fixed count starves small n)
     and a multiple of 8 (no chunk but the last leaves half a word unread).
     alpha is x / x.sum(), where the signs cancel, but only each row's
-    products x @ [u, v, 1] are divided, and a row whose quotient is not
-    finite (x @ w overflowed where alpha @ w does not) is taken again on
-    alpha. For n = 1 the simplex is the point alpha = [1], stored exactly
-    with no draw, where (x * u) / x would round. Writes nothing but
-    ``out_u`` and ``out_v``, so calls on distinct outputs may run in
-    parallel threads.
+    products x @ [u, v, 1] are divided; |x| < 17, so with u and v at most
+    1 in size, as in the solver's frame, none of them overflows. For n = 1
+    the simplex is the point alpha = [1], stored exactly with no draw,
+    where (x * u) / x would round. Writes nothing but ``out_u`` and
+    ``out_v``, so calls on distinct outputs may run in parallel threads.
     """
     n, samples = len(u), len(out_u)
     if n == 1:
@@ -206,18 +210,12 @@ def _simplex_dots(rng: np.random.Generator, u, v, out_u: np.ndarray, out_v: np.n
     rows = max(8, CHUNK_ELEMENTS // n // 8 * 8)
     buf = np.empty((min(rows, samples), n))
     w = np.column_stack([u, v, np.ones(n)])
-    # the error state is per thread: a side thread starts with numpy's default
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, samples, rows):
-            x = buf[: min(rows, samples - start)]
-            np.log(_uniforms(rng.bit_generator, x.size), out=x.reshape(-1))
-            dots = x @ w
-            pair = dots[:, :2] / dots[:, 2:]
-            # x @ w weighs w by about n, alpha @ w by 1, so a quotient can
-            # overflow where alpha @ w is finite: redo those rows on alpha
-            bad = ~np.isfinite(pair).all(axis=1)
-            pair[bad] = (x[bad] / dots[bad, 2:]) @ w[:, :2]
-            out_u[start : start + len(x)], out_v[start : start + len(x)] = pair.T
+    for start in range(0, samples, rows):
+        x = buf[: min(rows, samples - start)]
+        np.log(_uniforms(rng.bit_generator, x.size), out=x.reshape(-1))
+        dots = x @ w
+        pair = dots[:, :2] / dots[:, 2:]
+        out_u[start : start + len(x)], out_v[start : start + len(x)] = pair.T
 
 
 def refute_with_random_strategies(
@@ -230,9 +228,9 @@ def refute_with_random_strategies(
 
     Draws ``samples`` independent strategy pairs, evaluates the long-run
     income of every pair, and reports anything beyond ``control.value`` by
-    more than DOMINANCE_TOL * max(1, |control.value|). Values are drawn on
-    the rewards times +1 (maximize) or -1 (minimize), solve_tuning's frame;
-    negation is exact, so the report is the raw frame's. Side i draws
+    more than DOMINANCE_TOL * max(1, |control.value|). Values are drawn in
+    solve_tuning's frame (``_frame``) and scaled back by 2^e once, both exact
+    outside the subnormal range, so the report is the raw frame's. Side i draws
     alpha_i from float32 exponentials: the first ``samples - samples // 2``
     flat on the simplex from the stream SeedSequence(seed, spawn_key=(i,)),
     the rest flat on the TARGET_LABELS labels with the claimed pair's best
@@ -255,11 +253,11 @@ def refute_with_random_strategies(
     if samples == 0:
         return RefutationReport(int(samples), int(seed), DOMINANCE_TOL, None, None, 0)
     analysis = analyze_chain(spec)
-    g0, g1 = (s * g for g in _rewards(spec, analysis))
+    g0, g1, e = _frame(s, *_rewards(spec, analysis))
     b0, b1 = analysis.b[:, 0], analysis.b[:, 1]
-    # the ranking only picks labels to draw on, so a non-finite q-value
-    # (rewards near the float limit) costs power, not correctness; a stable
-    # sort of -q puts the lower label first among ties
+    # the ranking only picks labels to draw on, so a non-finite q-value (the
+    # claimed pair's b1[m0] + b0[m1] is 0) costs power, not correctness; a
+    # stable sort of -q puts the lower label first among ties
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         _, q0, q1 = _improve(g0, g1, b0, b1, control.m0_star - 2, control.m1_star - 2)
         top0, top1 = (np.argsort(-q, kind="stable")[:TARGET_LABELS] for q in (q0, q1))
@@ -286,8 +284,8 @@ def refute_with_random_strategies(
     thread.join()
     for exc in filter(None, errors):  # the calling thread's own exception first
         raise exc
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = _ratio(rho0, rho1, to0, to1)
+    with np.errstate(over="ignore"):
+        values = np.ldexp(_ratio(rho0, rho1, to0, to1), e)
         # may round to inf within DOMINANCE_TOL of the float limit, where no
         # finite value is a violation
         bound = s * control.value + DOMINANCE_TOL * max(1.0, abs(control.value))

@@ -12,6 +12,8 @@ from tuning import ChainSpec, Strategy
 _weights = st.floats(min_value=0.05, max_value=1.0, allow_nan=False)
 _incomes = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
+_EDGE_VALUES = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1e-13, 1e-300, 5e-324, 1e20, 1e300, 1.5e308, 1.7e308, -1.7e308]
+
 
 def _normalized(weights: list[float]) -> np.ndarray:
     arr = np.asarray(weights, dtype=float)
@@ -95,3 +97,22 @@ def one_sided_specs(draw, max_internal: int = 4) -> ChainSpec:
             full[i, others] *= scale
     full /= full.sum(axis=1)[:, None]
     return ChainSpec(n_internal=n, p00=full[:, 2:], p01=full[:, :2], c=spec.c, d0=spec.d0, d1=spec.d1)
+
+
+@st.composite
+def edge_models(draw) -> dict:
+    """Valid-looking models at the float edges: positive normalized rows of
+    [p01 | p00], p01 sometimes scaled towards 0 first, extreme incomes."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    weights = st.floats(min_value=0.01, max_value=1.0)
+    rows = []
+    for _ in range(n):
+        row = np.array(draw(st.lists(weights, min_size=n + 2, max_size=n + 2)))
+        row[:2] *= draw(st.sampled_from([1.0, 1.0, 0.0, 1e-13, 1e-9]))
+        rows.append(row / row.sum())
+    full = np.array(rows)
+    vector = st.lists(st.sampled_from(_EDGE_VALUES), min_size=n, max_size=n)
+    return {
+        "n_internal": n, "p00": full[:, 2:].tolist(), "p01": full[:, :2].tolist(),
+        "c": draw(vector), "d0": draw(vector), "d1": draw(vector),
+    }

@@ -20,6 +20,7 @@ from tuning import simulate, solve_tuning
 from tuning.cli import main
 
 from conftest import ONE_SIDED_EXITS, OPPOSITE_COSTS, OVERFLOW_RESIDUAL, OVERFLOW_REWARD, OVERFLOW_TABLE, REFERENCE
+from strats import edge_models
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str]:
@@ -35,6 +36,9 @@ def write_json(path: Path, doc: dict) -> Path:
 @pytest.fixture
 def uniform_strategy_file(tmp_path):
     return write_json(tmp_path / "uniform.json", {"alpha0": [0.5, 0.5], "alpha1": [0.5, 0.5]})
+
+
+_STATE_FINDINGS_BASE = {"n_internal": 3, "c": [1.0, 2.0, 3.0], "d0": [-1.0] * 3, "d1": [-1.0] * 3}
 
 
 class TestValidateCommand:
@@ -63,6 +67,43 @@ class TestValidateCommand:
         assert doc["valid"] is False
         assert doc["errors"][0]["code"] == "ROW_SUM"
         assert doc["errors"][0]["where"] == 2
+
+    @pytest.mark.parametrize("model, errors", [
+        (
+            {  # PROB_RANGE in both blocks, ROW_SUM on two rows
+                **_STATE_FINDINGS_BASE,
+                "p00": [[-0.1, 0.5, 0.1], [0.2, 0.2, 0.2], [0.1, 0.1, 0.1]],
+                "p01": [[0.3, 0.2], [1.5, -0.1], [0.3, 0.3]],
+            },
+            [
+                ("PROB_RANGE", "p00 row for state 2 has entries outside [0, 1]", 2),
+                ("PROB_RANGE", "p01 row for state 3 has entries outside [0, 1]", 3),
+                ("ROW_SUM", "transition row for state 3 sums to 2.0, not 1", 3),
+                ("ROW_SUM", "transition row for state 4 sums to 0.9, not 1", 4),
+            ],
+        ),
+        (
+            {  # states 2 and 4 keep to themselves, state 3's row sums to 0.9
+                **_STATE_FINDINGS_BASE,
+                "p00": [[1.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 1.0]],
+                "p01": [[0.0, 0.0], [0.2, 0.2], [0.0, 0.0]],
+            },
+            [
+                ("ROW_SUM", "transition row for state 3 sums to 0.9, not 1", 3),
+                ("NO_ABSORPTION", "state 2 cannot reach the boundary, absorption is not certain", 2),
+                ("NO_ABSORPTION", "state 4 cannot reach the boundary, absorption is not certain", 4),
+            ],
+        ),
+    ], ids=["range-and-sums", "no-absorption"])
+    def test_state_findings_are_pinned(self, capsys, tmp_path, model, errors):
+        # text, state label and order of every state-indexed finding
+        status, out = run_cli(capsys, "validate", str(write_json(tmp_path / "bad.json", model)))
+        assert status == 1
+        assert json.loads(out) == {
+            "valid": False,
+            "errors": [{"code": code, "message": message, "where": where} for code, message, where in errors],
+            "warnings": [],
+        }
 
     @pytest.mark.parametrize("command", ["validate", "solve"])
     @pytest.mark.parametrize("count", [2.5, "2", True])
@@ -97,6 +138,31 @@ class TestAnalyzeCommand:
         assert abs(doc["b"][1][1] - 2 / 3) <= 1e-12
         assert abs(doc["r"][1] - 10 / 3) <= 1e-12
         assert doc["positivity_ok"] is True
+
+    def test_positivity_findings_are_pinned(self, capsys, tmp_path):
+        # state 2 exits only to boundary 0, state 3 only to boundary 1: the
+        # list runs by state, then by boundary
+        model = {
+            **_STATE_FINDINGS_BASE,
+            "p00": [[0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.25, 0.25, 0.0]],
+            "p01": [[0.5, 0.0], [0.0, 0.5], [0.25, 0.25]],
+        }
+        status, out = run_cli(capsys, "analyze", str(write_json(tmp_path / "model.json", model)))
+        assert status == 0
+        doc = json.loads(out)
+        assert doc["positivity_ok"] is False
+        assert doc["positivity"] == [
+            {
+                "code": "B_NOT_POSITIVE",
+                "message": "absorption probability from state 2 to boundary 1 is 0.0 (<= 1e-12)",
+                "where": 2,
+            },
+            {
+                "code": "B_NOT_POSITIVE",
+                "message": "absorption probability from state 3 to boundary 0 is 0.0 (<= 1e-12)",
+                "where": 3,
+            },
+        ]
 
     def test_csv_option_is_usage_error(self, capsys, reference_model_file, tmp_path):
         # b and r reach the user through the document alone
@@ -553,28 +619,6 @@ def _reject_constant(name: str):
     raise ValueError(f"non-finite number {name} in a document")
 
 
-_EDGE_VALUES = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1e-13, 1e-300, 5e-324, 1e20, 1e300, 1.5e308, 1.7e308, -1.7e308]
-
-
-@st.composite
-def edge_models(draw) -> dict:
-    """Valid-looking models at the float edges: positive normalized rows of
-    [p01 | p00], p01 sometimes scaled towards 0 first, extreme incomes."""
-    n = draw(st.integers(min_value=1, max_value=3))
-    weights = st.floats(min_value=0.01, max_value=1.0)
-    rows = []
-    for _ in range(n):
-        row = np.array(draw(st.lists(weights, min_size=n + 2, max_size=n + 2)))
-        row[:2] *= draw(st.sampled_from([1.0, 1.0, 0.0, 1e-13, 1e-9]))
-        rows.append(row / row.sum())
-    full = np.array(rows)
-    vector = st.lists(st.sampled_from(_EDGE_VALUES), min_size=n, max_size=n)
-    return {
-        "n_internal": n, "p00": full[:, 2:].tolist(), "p01": full[:, :2].tolist(),
-        "c": draw(vector), "d0": draw(vector), "d1": draw(vector),
-    }
-
-
 @st.composite
 def strategy_documents(draw, n: int) -> str:
     """Strategy files as JSON text: each side a distribution or a mutation
@@ -776,6 +820,13 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert "--cycles" in usage_message(captured.out)
         assert captured.err.startswith("usage: tuning simulate")
+
+    @pytest.mark.parametrize("option", ["--bogus", "--csv"])
+    def test_unknown_option_gets_the_subcommand_usage(self, capsys, reference_model_file, option):
+        assert main(["analyze", str(reference_model_file), option]) == 2
+        captured = capsys.readouterr()
+        assert usage_message(captured.out) == f"unrecognized arguments: {option}"
+        assert captured.err.startswith("usage: tuning analyze")
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -21,6 +21,7 @@ from tuning import (
     NumericOverflowError,
     OptimalControl,
     PositivityError,
+    TuningError,
     analyze_chain,
     cost_coefficients,
     degenerate_strategy,
@@ -31,7 +32,7 @@ from tuning import (
 
 from conftest import OVERFLOW_REWARD, OVERFLOW_TABLE
 from oracles import exact_tables, full_matrix_refutation, random_spec
-from strats import chain_specs
+from strats import chain_specs, edge_models
 
 
 def c_table(spec):
@@ -255,13 +256,27 @@ class TestRefutation:
         assert report.gap is None
         assert report.violations == 0
 
-    def test_overflowing_sample_raises(self):
-        # the minimum is finite, but mixing in the larger rewards overflows
+    def test_rewards_near_the_float_limit_are_refuted_in_range(self):
+        # every sampled value is a mean of rewards of at most 1.7e308, but on
+        # the raw rewards its arithmetic overflowed; in the solver's frame none does
         spec = ChainSpec(**{**OVERFLOW_TABLE, "d1": [1.5e308, 1.7e308]})
         control = solve_tuning(spec, "minimize")
         assert control.value == 1.4999999999999998e308
-        with pytest.raises(NumericOverflowError, match="sampled"):
-            refute_with_random_strategies(spec, control, 50, seed=1)
+        report = refute_with_random_strategies(spec, control, 50, seed=1)
+        assert np.isfinite(report.best_observed) and np.isfinite(report.gap)
+        assert report.violations == 0
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(model=edge_models(), direction=st.sampled_from(tuning.optimizer.DIRECTIONS), seed=st.integers(0, 2**32))
+    def test_every_solved_edge_model_is_refuted_in_range(self, model, direction, seed):
+        spec = ChainSpec(**model)
+        try:
+            control = solve_tuning(spec, direction)
+        except TuningError:
+            return
+        report = refute_with_random_strategies(spec, control, 200, seed)
+        assert np.isfinite(report.best_observed) and np.isfinite(report.gap)
+        assert report.violations == 0
 
     def test_single_state_gap_is_exactly_zero(self):
         spec = ChainSpec(
@@ -420,7 +435,8 @@ class TestRefutation:
         monkeypatch.setattr(tuning.optimizer, "_ratio", keep_values)
         refute_with_random_strategies(spec, OptimalControl(direction, 2, 2, value), 2_001, seed=5)
         s = tuning.optimizer.SIGNS[direction]
-        flat = s * seen[0][:1_001]  # back from the maximize frame the values are drawn in
+        e = tuning.optimizer._frame(s, *tuning.optimizer._rewards(spec, analyze_chain(spec)))[2]
+        flat = s * np.ldexp(seen[0][:1_001], e)  # back from the solver's frame the values are drawn in
         assert s * float(np.max(s * flat)) == best
         assert s * value - s * best == gap
         tol = tuning.optimizer.DOMINANCE_TOL * max(1.0, abs(value))
@@ -450,8 +466,8 @@ class TestRefutation:
     @pytest.mark.parametrize("n", [2, 300])
     @pytest.mark.parametrize("direction", ["maximize", "minimize"])
     def test_rewards_near_the_float_limit_stay_finite(self, n, direction):
-        # a row of raw exponentials sums to about n, so x @ g overflows on
-        # many rows although every alpha @ g is at most 1e308
+        # a row of raw exponentials sums to about n, so x @ g on the raw rewards
+        # would overflow on many rows although every alpha @ g is at most 1e308
         rewards = np.linspace(1e308, 5e307, n)
         spec = ChainSpec(
             n_internal=n, p00=np.zeros((n, n)), p01=np.full((n, 2), 0.5),
