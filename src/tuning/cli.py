@@ -252,7 +252,3 @@ def main(argv: list[str] | None = None) -> int:
         _emit(_error_doc("IO_ERROR", exc), None)
         return EXIT_USAGE
     return status
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 ROW_SUM_TOL = 1e-9
-STRATEGY_SUM_TOL = 1e-9
 
 
 def _frozen(values) -> np.ndarray:
@@ -147,13 +146,12 @@ class ValidationReport:
 def _reaches_boundary(p00: np.ndarray, p01: np.ndarray) -> np.ndarray:
     """Boolean mask: internal states that reach the boundary with positive
     probability through strictly positive transitions."""
-    reach = (p01 > 0.0).any(axis=1)
+    reach = new = (p01 > 0.0).any(axis=1)
     positive = p00 > 0.0
-    while True:
-        grown = reach | positive[:, reach].any(axis=1)
-        if (grown == reach).all():
-            return reach
-        reach = grown
+    while new.any():  # each state's column is scanned once, in the round after it is reached
+        grown = reach | positive[:, new].any(axis=1)
+        reach, new = grown, grown & ~reach
+    return reach
 
 
 def _state_findings(code: str, mask: np.ndarray, message) -> list[Violation]:
@@ -205,9 +203,9 @@ def validate_chain(spec: ChainSpec) -> ValidationReport:
         errors += _state_findings("PROB_RANGE", ((block < 0.0) | (block > 1.0)).any(axis=1), lambda label: (
             f"{name} row for state {label} has entries outside [0, 1]"))
 
-    with np.errstate(over="ignore"):  # entries far above 1 are reported as PROB_RANGE
+    with np.errstate(over="ignore", invalid="ignore"):  # entries far outside [0, 1] are PROB_RANGE
         row_sums = spec.p00.sum(axis=1) + spec.p01.sum(axis=1)
-    errors += _state_findings("ROW_SUM", np.abs(row_sums - 1.0) > ROW_SUM_TOL, lambda label: (
+    errors += _state_findings("ROW_SUM", ~(np.abs(row_sums - 1.0) <= ROW_SUM_TOL), lambda label: (
         f"transition row for state {label} sums to {float(row_sums[label - 2])!r}, not 1"))
 
     if not any(v.code == "PROB_RANGE" for v in errors):
@@ -250,8 +248,9 @@ def validate_strategy(strategy: Strategy, n_internal: int) -> ValidationReport:
                     name,
                 )
             )
-        total = float(vec.sum())
-        if abs(total - 1.0) > STRATEGY_SUM_TOL:
+        with np.errstate(over="ignore", invalid="ignore"):  # a NaN or infinite sum is a miss
+            total = float(vec.sum())
+        if not abs(total - 1.0) <= ROW_SUM_TOL:
             errors.append(
                 Violation("NOT_NORMALIZED", f"{name} sums to {total!r}, not 1", name)
             )

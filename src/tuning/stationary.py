@@ -167,10 +167,8 @@ def indicator(
             weights = np.outer(strategy.alpha0, strategy.alpha1)
             den = float((bt * weights).sum())
             _require_switching(den)
-            num = float((a * weights).sum())
-            if np.isnan(num):  # a policy of weight 0 adds 0, even where its a entry overflowed
-                num = float(np.where(np.isfinite(a) | (weights != 0.0), a * weights, 0.0).sum())
-            value = num / den
+            # a policy of weight 0 adds 0, even where its a entry overflowed
+            value = float(np.where(weights != 0.0, a * weights, 0.0).sum()) / den
     if not np.isfinite(value):
         raise NumericOverflowError(f"{route} route value {value!r} overflowed the float range")
     return value

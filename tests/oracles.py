@@ -9,11 +9,14 @@ an earlier release's refined, three-solve classification of a failed
 solve as the reference for the package's single solve, and
 ``full_matrix_refutation`` draws and normalizes each of the refutation's
 four strategy matrices whole, on one thread, as the reference for the
-package's chunked, threaded draw.
+package's chunked, threaded draw. ``boundary_unreachable`` finds the
+states that cannot reach the boundary by a breadth-first search backwards
+from it, over Python lists.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -318,3 +321,22 @@ def random_strategy(rng: np.random.Generator, n: int):
     from tuning import Strategy
 
     return Strategy(alpha0=rng.dirichlet(np.ones(n)), alpha1=rng.dirichlet(np.ones(n)))
+
+
+# ---------------------------------------------------------------------------
+# reachability
+
+def boundary_unreachable(p00, p01) -> list[int]:
+    """Labels of the internal states with no path of positive entries to the
+    boundary: a breadth-first search backwards from the states that enter
+    the boundary directly, over each state's list of predecessors."""
+    n = len(p00)
+    predecessors = [[i for i in range(n) if p00[i][j] > 0.0] for j in range(n)]
+    queue = deque(i for i in range(n) if p01[i][0] > 0.0 or p01[i][1] > 0.0)
+    reached = set(queue)
+    while queue:
+        for i in predecessors[queue.popleft()]:
+            if i not in reached:
+                reached.add(i)
+                queue.append(i)
+    return [i + 2 for i in range(n) if i not in reached]

@@ -94,7 +94,20 @@ class TestValidateCommand:
                 ("NO_ABSORPTION", "state 4 cannot reach the boundary, absorption is not certain", 4),
             ],
         ),
-    ], ids=["range-and-sums", "no-absorption"])
+        (
+            {  # state 2's p00 sum overflows to inf and its p01 sum to -inf: a NaN row sum is a miss
+                "n_internal": 2,
+                "p00": [[1.7e308, 1.7e308], [0.5, 0.0]],
+                "p01": [[-1.7e308, -1.7e308], [0.25, 0.25]],
+                "c": [1.0, 2.0], "d0": [-1.0] * 2, "d1": [-1.0] * 2,
+            },
+            [
+                ("PROB_RANGE", "p00 row for state 2 has entries outside [0, 1]", 2),
+                ("PROB_RANGE", "p01 row for state 2 has entries outside [0, 1]", 2),
+                ("ROW_SUM", "transition row for state 2 sums to nan, not 1", 2),
+            ],
+        ),
+    ], ids=["range-and-sums", "no-absorption", "nan-row-sum"])
     def test_state_findings_are_pinned(self, capsys, tmp_path, model, errors):
         # text, state label and order of every state-indexed finding
         status, out = run_cli(capsys, "validate", str(write_json(tmp_path / "bad.json", model)))
@@ -622,8 +635,9 @@ def _reject_constant(name: str):
 @st.composite
 def strategy_documents(draw, n: int) -> str:
     """Strategy files as JSON text: each side a distribution or a mutation
-    of one (true/false, strings, NaN or Infinity tokens, negative mass, a
-    wrong length, not a list) or left out; sometimes not an object."""
+    of one (true/false, strings, NaN or Infinity tokens, a sum that
+    overflows, negative mass, a wrong length, not a list) or left out;
+    sometimes not an object."""
     even = [1.0 / n] * n
     sides = [
         json.dumps(even),
@@ -632,6 +646,7 @@ def strategy_documents(draw, n: int) -> str:
         json.dumps([str(x) for x in even]),
         "[" + ", ".join(["NaN"] + ["0.5"] * (n - 1)) + "]",
         "[" + ", ".join(["Infinity"] + ["-Infinity"] * (n - 1)) + "]",
+        json.dumps([1.7e308] * n),  # a sum that overflows to inf for n > 1
         json.dumps([2.0, -1.0] + [0.0] * (n - 2) if n > 1 else [-1.0]),
         json.dumps(even + [0.0]),
         json.dumps(even[1:]),

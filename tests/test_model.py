@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import re
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tuning import (
     ChainSpec,
@@ -21,6 +23,7 @@ from tuning import (
     validate_strategy,
 )
 
+from oracles import boundary_unreachable
 from strats import chain_specs, spec_strategy_pairs
 
 
@@ -87,6 +90,35 @@ class TestValidateChain:
             d1=[-1.0, -1.0],
         )
         assert validate_chain(spec).ok
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_no_absorption_matches_a_backward_search(self, data):
+        # a sparse pattern of positive entries over the n x (n + 2) block [p00 | p01]
+        n = data.draw(st.integers(min_value=1, max_value=30))
+        cells = st.tuples(st.integers(0, n - 1), st.integers(0, n + 1))
+        full = np.zeros((n, n + 2))
+        for i, j in data.draw(st.sets(cells, max_size=3 * n)):
+            full[i, j] = 1.0
+        sums = full.sum(axis=1, keepdims=True)
+        full = np.divide(full, sums, out=full, where=sums > 0.0)
+        spec = ChainSpec(n_internal=n, p00=full[:, :n], p01=full[:, n:], c=np.ones(n), d0=-np.ones(n),
+                         d1=-np.ones(n))
+        found = [v.where for v in validate_chain(spec).errors if v.code == "NO_ABSORPTION"]
+        assert found == boundary_unreachable(spec.p00.tolist(), spec.p01.tolist())
+
+    def test_one_way_chain_is_validated_quickly(self):
+        # state k + 2 moves only to k + 1 and state 2 enters the boundary: the
+        # boundary is reached after n rounds, each scanning one new column
+        n = 2000
+        p01 = np.zeros((n, 2))
+        p01[0, 0] = 1.0
+        spec = ChainSpec(n_internal=n, p00=np.eye(n, k=-1), p01=p01, c=np.ones(n), d0=-np.ones(n), d1=-np.ones(n))
+        start = time.perf_counter()
+        report = validate_chain(spec)
+        elapsed = time.perf_counter() - start
+        assert report.ok
+        assert elapsed < 0.5, f"validate_chain took {elapsed:.2f} s on a one-way chain of {n} states"
 
     def test_entry_out_of_range(self):
         spec = ChainSpec(
@@ -213,6 +245,13 @@ class TestValidateStrategy:
         report = validate_strategy(Strategy([0.6, 0.6], [0.5, 0.5]), 2)
         assert codes(report) == ["NOT_NORMALIZED"]
         assert report.errors[0].where == "alpha0"
+
+    def test_overflowing_sum_is_not_normalized(self):
+        # the sum overflows to inf, which misses 1 like any other sum
+        report = validate_strategy(Strategy([1.7e308, 1.7e308], [0.5, 0.5]), 2)
+        assert [(v.code, v.message, v.where) for v in report.errors] == [
+            ("NOT_NORMALIZED", "alpha0 sums to inf, not 1", "alpha0")
+        ]
 
     def test_non_numeric_entries_are_rejected_not_parsed(self):
         report = validate_strategy(strategy_from_dict({"alpha0": ["0", "1"], "alpha1": [0.5, 0.5]}), 2)
