@@ -300,6 +300,8 @@ def degenerate_strategy(m0: int, m1: int, n_internal: int) -> Strategy:
 
 def _from_dict(cls, kind: str, data: dict):
     """Build ``cls`` from the document's keys, taken in field order."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{kind} document must be a JSON object, got {type(data).__name__}")
     try:
         return cls(**{f.name: data[f.name] for f in fields(cls)})
     except KeyError as exc:

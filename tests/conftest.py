@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -86,3 +88,13 @@ def solves(monkeypatch) -> list:
 
     monkeypatch.setattr(tuning.absorption, "fundamental_solve", counted)
     return calls
+
+
+def child_env(**extra: str) -> dict[str, str]:
+    """This process's environment plus ``extra``, with the directory that
+    holds the imported ``tuning`` package first on PYTHONPATH, so that a
+    child ``python`` runs the same code."""
+    env = {**os.environ, **extra}
+    src = str(Path(tuning.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return env

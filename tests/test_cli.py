@@ -4,7 +4,6 @@ import contextlib
 import csv
 import io
 import json
-import os
 import subprocess
 import sys
 import tempfile
@@ -19,7 +18,9 @@ from hypothesis import strategies as st
 from tuning import simulate, solve_tuning
 from tuning.cli import main
 
-from conftest import ONE_SIDED_EXITS, OPPOSITE_COSTS, OVERFLOW_RESIDUAL, OVERFLOW_REWARD, OVERFLOW_TABLE, REFERENCE
+from conftest import (
+    ONE_SIDED_EXITS, OPPOSITE_COSTS, OVERFLOW_RESIDUAL, OVERFLOW_REWARD, OVERFLOW_TABLE, REFERENCE, child_env,
+)
 from strats import edge_models
 
 
@@ -107,9 +108,16 @@ class TestValidateCommand:
                 ("ROW_SUM", "transition row for state 2 sums to nan, not 1", 2),
             ],
         ),
-    ], ids=["range-and-sums", "no-absorption", "nan-row-sum"])
+        (
+            {**REFERENCE, "c": [1.0], "d0": [-0.5, float("nan")]},  # every field's finding in one pass
+            [
+                ("BAD_SHAPE", "c must have length 2, got shape (1,)", "c"),
+                ("NOT_FINITE", "d0 contains NaN or infinity", "d0"),
+            ],
+        ),
+    ], ids=["range-and-sums", "no-absorption", "nan-row-sum", "mixed-fields"])
     def test_state_findings_are_pinned(self, capsys, tmp_path, model, errors):
-        # text, state label and order of every state-indexed finding
+        # text, where and order of every finding; a state-indexed one names its state label
         status, out = run_cli(capsys, "validate", str(write_json(tmp_path / "bad.json", model)))
         assert status == 1
         assert json.loads(out) == {
@@ -129,12 +137,20 @@ class TestValidateCommand:
         assert report["valid"] is False
         assert [e["code"] for e in report["errors"]] == ["BAD_COUNT"]
 
-    def test_unparseable_file_exits_one(self, capsys, tmp_path):
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "model file is not valid JSON: Expecting property name enclosed in double quotes: "
+                      "line 1 column 2 (char 1)"),
+        ("[1, 2]", "model document must be a JSON object, got list"),
+        ("null", "model document must be a JSON object, got NoneType"),
+        ('"abc"', "model document must be a JSON object, got str"),
+        ("0.5", "model document must be a JSON object, got float"),
+    ], ids=["not-json", "list", "null", "string", "number"])
+    def test_unparseable_file_exits_one(self, capsys, tmp_path, text, message):
         path = tmp_path / "mangled.json"
-        path.write_text("{not json")
+        path.write_text(text)
         status, out = run_cli(capsys, "validate", str(path))
         assert status == 1
-        assert json.loads(out)["errors"][0]["code"] == "BAD_FILE"
+        assert json.loads(out)["errors"] == [{"code": "BAD_FILE", "message": message, "where": None}]
 
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         status, out = run_cli(capsys, "validate", str(tmp_path / "absent.json"))
@@ -197,13 +213,17 @@ class TestAnalyzeCommand:
 
 
 class TestIndicatorCommand:
-    def test_degenerate_value(self, capsys, reference_model_file):
+    @pytest.mark.parametrize(
+        "route", [None, "embedded", "ratio", "fractional"], ids=["default", "embedded", "ratio", "fractional"]
+    )
+    def test_degenerate_value(self, capsys, reference_model_file, route):
+        extra = () if route is None else ("--route", route)
         status, out = run_cli(
-            capsys, "indicator", str(reference_model_file), "--degenerate", "3", "3"
+            capsys, "indicator", str(reference_model_file), "--degenerate", "3", "3", *extra
         )
         assert status == 0
         doc = json.loads(out)
-        assert doc["route"] == "embedded"
+        assert doc["route"] == (route or "embedded")
         assert abs(doc["value"] - 43 / 15) <= 1e-12
 
     def test_routes_agree(self, capsys, reference_model_file, uniform_strategy_file):
@@ -632,32 +652,78 @@ def _reject_constant(name: str):
     raise ValueError(f"non-finite number {name} in a document")
 
 
+def strategy_sides(n: int) -> dict[str, str | None]:
+    """One strategy side as JSON text, by name: a distribution or a mutation
+    of one (true/false, strings, NaN or Infinity tokens, a sum that
+    overflows, negative mass, a wrong length, not a list), or None for a
+    missing key."""
+    even = [1.0 / n] * n
+    return {
+        "even": json.dumps(even),
+        "vertex": json.dumps([1.0] + [0.0] * (n - 1)),
+        "bools": json.dumps([True] + [False] * (n - 1)),
+        "strings": json.dumps([str(x) for x in even]),
+        "nan": "[" + ", ".join(["NaN"] + ["0.5"] * (n - 1)) + "]",
+        "infinities": "[" + ", ".join(["Infinity"] + ["-Infinity"] * (n - 1)) + "]",
+        "overflowing-sum": json.dumps([1.7e308] * n),  # a sum that overflows to inf for n > 1
+        "negative-mass": json.dumps([2.0, -1.0] + [0.0] * (n - 2) if n > 1 else [-1.0]),
+        "too-long": json.dumps(even + [0.0]),
+        "too-short": json.dumps(even[1:]),
+        "nested": json.dumps([even]),
+        "null": "null",
+        "number": "0.5",
+        "missing": None,
+    }
+
+
+def strategy_object(alpha0: str | None, alpha1: str | None) -> str:
+    """A strategy file's JSON object from its two sides' texts."""
+    texts = {"alpha0": alpha0, "alpha1": alpha1}
+    return "{" + ", ".join(f'"{key}": {text}' for key, text in texts.items() if text is not None) + "}"
+
+
 @st.composite
 def strategy_documents(draw, n: int) -> str:
-    """Strategy files as JSON text: each side a distribution or a mutation
-    of one (true/false, strings, NaN or Infinity tokens, a sum that
-    overflows, negative mass, a wrong length, not a list) or left out;
-    sometimes not an object."""
-    even = [1.0 / n] * n
-    sides = [
-        json.dumps(even),
-        json.dumps([1.0] + [0.0] * (n - 1)),
-        json.dumps([True] + [False] * (n - 1)),
-        json.dumps([str(x) for x in even]),
-        "[" + ", ".join(["NaN"] + ["0.5"] * (n - 1)) + "]",
-        "[" + ", ".join(["Infinity"] + ["-Infinity"] * (n - 1)) + "]",
-        json.dumps([1.7e308] * n),  # a sum that overflows to inf for n > 1
-        json.dumps([2.0, -1.0] + [0.0] * (n - 2) if n > 1 else [-1.0]),
-        json.dumps(even + [0.0]),
-        json.dumps(even[1:]),
-        json.dumps([even]),
-        "null",
-        "0.5",
-        None,  # the key is missing
+    """Strategy files as JSON text: two drawn sides, sometimes not an object."""
+    sides = list(strategy_sides(n).values())
+    body = strategy_object(draw(st.sampled_from(sides)), draw(st.sampled_from(sides)))
+    return draw(st.sampled_from([body] * 8 + ["[]", "null"]))
+
+
+_SIDES = strategy_sides(REFERENCE["n_internal"])
+# every side as each key beside an even other side, and the documents that
+# are not an object
+_PINNED_STRATEGIES = {
+    **{f"alpha0-{name}": strategy_object(side, _SIDES["even"]) for name, side in _SIDES.items()},
+    **{f"alpha1-{name}": strategy_object(_SIDES["even"], side) for name, side in _SIDES.items()},
+    "top-level-list": "[]",
+    "top-level-null": "null",
+}
+
+
+def _assert_strategy_file_ends_in_documents(model: dict, strategy_text: str) -> None:
+    """indicator, simulate and trajectory with this strategy file each exit
+    0, 1 or 3 with one finite document, with every warning an error."""
+    invocations = [
+        ["indicator"],
+        ["simulate", "--cycles", "50", "--segment-limit", "2000"],
+        ["trajectory", "--max-steps", "30"],
     ]
-    texts = {key: draw(st.sampled_from(sides)) for key in ("alpha0", "alpha1")}
-    body = ", ".join(f'"{key}": {text}' for key, text in texts.items() if text is not None)
-    return draw(st.sampled_from(["{" + body + "}"] * 8 + ["[]", "null"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_json(Path(tmp) / "model.json", model)
+        strategy = Path(tmp) / "strategy.json"
+        strategy.write_text(strategy_text)
+        for argv in invocations:
+            out = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(out):
+                warnings.simplefilter("error")
+                status = main([argv[0], str(path), "--strategy", str(strategy), *argv[1:]])
+            text = out.getvalue()
+            assert status in (0, 1, 3), (argv, text)
+            if status == 0 and argv[0] == "trajectory":
+                assert "inf" not in text and "nan" not in text, (argv, text)
+            else:
+                json.loads(text, parse_constant=_reject_constant)
 
 
 class TestEveryInputEndsInADocument:
@@ -690,26 +756,12 @@ class TestEveryInputEndsInADocument:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(model=edge_models(), data=st.data())
     def test_every_strategy_file_exits_with_a_finite_document(self, model, data):
-        invocations = [
-            ["indicator"],
-            ["simulate", "--cycles", "50", "--segment-limit", "2000"],
-            ["trajectory", "--max-steps", "30"],
-        ]
-        with tempfile.TemporaryDirectory() as tmp:
-            path = write_json(Path(tmp) / "model.json", model)
-            strategy = Path(tmp) / "strategy.json"
-            strategy.write_text(data.draw(strategy_documents(model["n_internal"])))
-            for argv in invocations:
-                out = io.StringIO()
-                with warnings.catch_warnings(), contextlib.redirect_stdout(out):
-                    warnings.simplefilter("error")
-                    status = main([argv[0], str(path), "--strategy", str(strategy), *argv[1:]])
-                text = out.getvalue()
-                assert status in (0, 1, 3), (argv, text)
-                if status == 0 and argv[0] == "trajectory":
-                    assert "inf" not in text and "nan" not in text, (argv, text)
-                else:
-                    json.loads(text, parse_constant=_reject_constant)
+        _assert_strategy_file_ends_in_documents(model, data.draw(strategy_documents(model["n_internal"])))
+
+    @pytest.mark.parametrize("strategy_text", _PINNED_STRATEGIES.values(), ids=_PINNED_STRATEGIES.keys())
+    def test_every_strategy_side_meets_a_valid_model(self, strategy_text):
+        # the property pairs a side with a valid model only when its draw does
+        _assert_strategy_file_ends_in_documents(REFERENCE, strategy_text)
 
 
 # a valid invocation of each command on the reference model: its option
@@ -964,38 +1016,33 @@ class TestOutOfMemory:
 
 
 class TestSubprocessEntryPoint:
-    def test_module_invocation_is_bit_identical(self, reference_model_file):
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        argv = [
-            sys.executable,
-            "-m",
-            "tuning",
-            "simulate",
-            str(reference_model_file),
-            "--degenerate",
-            "3",
-            "3",
-            "--cycles",
-            "20000",
-            "--seed",
-            "42",
-        ]
-        first = subprocess.run(argv, capture_output=True, env=env)
-        second = subprocess.run(argv, capture_output=True, env=env)
-        assert first.returncode == 0
+    @pytest.mark.parametrize("command, second_env", [
+        (("simulate", "--degenerate", "3", "3", "--cycles", "20000", "--seed", "42"), {}),
+        # the refutation's four streams (flat and targeted halves of alpha0 on
+        # the calling thread, of alpha1 in a side thread) give the same
+        # document in every process; minimizing draws on the negated rewards
+        (("solve", "--direction", "max", "--refute-samples", "20000", "--seed", "7"), {}),
+        (("solve", "--direction", "min", "--refute-samples", "20000", "--seed", "7"), {}),
+        # numpy's float32 log gives the same bits on its AVX2 and AVX-512
+        # loops, so capping its dispatch below AVX-512 changes no draw (on a
+        # CPU without AVX-512 both children take the AVX2 loop)
+        (("solve", "--refute-samples", "20000", "--seed", "7"),
+         {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"}),
+    ], ids=["simulate", "solve-max", "solve-min", "solve-without-avx512"])
+    def test_module_invocation_is_bit_identical(self, reference_model_file, command, second_env):
+        argv = [sys.executable, "-m", "tuning", command[0], str(reference_model_file), *command[1:]]
+        warnings_as_errors = {"PYTHONWARNINGS": "error::RuntimeWarning"}
+        first = subprocess.run(argv, capture_output=True, env=child_env(**warnings_as_errors))
+        second = subprocess.run(argv, capture_output=True, env=child_env(**warnings_as_errors, **second_env))
+        assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
 
     def test_overflow_exits_three_with_warnings_as_errors(self, tmp_path, reference_model_file):
         doc = json.loads(reference_model_file.read_text())
         doc["c"] = [1e308, 1e308]
         path = write_json(tmp_path / "huge.json", doc)
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         argv = [sys.executable, "-W", "error", "-m", "tuning", "simulate", str(path), "--degenerate", "3", "3"]
-        proc = subprocess.run(argv, capture_output=True, env=env)
+        proc = subprocess.run(argv, capture_output=True, env=child_env())
         assert proc.returncode == 3
         assert json.loads(proc.stdout)["error"]["code"] == "OVERFLOW"
         assert proc.stderr == b""

@@ -1,13 +1,11 @@
 from __future__ import annotations
 
 import dataclasses
-import os
 import subprocess
 import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +28,7 @@ from tuning import (
     solve_tuning,
 )
 
-from conftest import OVERFLOW_REWARD, OVERFLOW_TABLE
+from conftest import OVERFLOW_REWARD, OVERFLOW_TABLE, child_env
 from oracles import exact_tables, full_matrix_refutation, random_spec
 from strats import chain_specs, edge_models
 
@@ -583,12 +581,10 @@ class TestRefutation:
         )
         here: dict = {}
         exec(probe, here)
-        src = str(Path(tuning.__file__).resolve().parents[1])
-        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         child = subprocess.run(
             [sys.executable, "-c", probe + "import sys; sys.stdout.write(out.tobytes().hex())"],
-            env=env, capture_output=True, text=True, timeout=120, check=True,
+            env=child_env(NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"),
+            capture_output=True, text=True, timeout=120, check=True,
         )
         there = np.frombuffer(bytes.fromhex(child.stdout)).reshape(2, 1000)
         differ = int((here["out"] != there).any(axis=0).sum())
