@@ -289,10 +289,11 @@ def refute_with_random_strategies(
         # may round to inf within DOMINANCE_TOL of the float limit, where no
         # finite value is a violation
         bound = s * control.value + DOMINANCE_TOL * max(1.0, abs(control.value))
-    if not np.isfinite(values).all():
-        raise NumericOverflowError("a sampled strategy's value overflowed the float range")
     best = float(np.max(values))  # in the maximize frame
     violations = int((values > bound).sum())
     # + 0.0 turns the -0.0 that minimizing makes of a zero into 0.0 and leaves every other value
     gap = s * control.value - best + 0.0
+    # a sample at -inf is far from the claim: only what is printed must be finite
+    if not (np.isfinite(best) and np.isfinite(gap)):
+        raise NumericOverflowError(f"refutation best {s * best!r} or gap {gap!r} overflowed the float range")
     return RefutationReport(int(samples), int(seed), DOMINANCE_TOL, s * best + 0.0, gap, violations)

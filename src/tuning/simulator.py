@@ -32,6 +32,7 @@ cycles of a pool in numpy lockstep, and stitches the pools into one path.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -123,15 +124,11 @@ class _Moments:
         right, so it equals a loop over the trajectory's cycle incomes."""
         self.total = float(np.add.accumulate(np.concatenate(([self.total], incomes)))[-1])
         self.counts = self.counts + np.bincount(starts, minlength=2)
-        mean = float(incomes.mean())
-        self.merge(incomes.size, mean, float(np.square(incomes - mean).sum()))
-
-    def merge(self, count: int, mean: float, m2: float) -> None:
-        """Chan et al.'s pairwise update of mean and scatter."""
-        total = self.count + count
-        delta = mean - self.mean
+        # Chan et al.'s pairwise update; the cross term is 0, not inf * 0, when empty
+        count, mean = incomes.size, float(incomes.mean())
+        total, delta = self.count + count, mean - self.mean
         self.mean += delta * count / total
-        self.m2 += m2 + delta * (self.count * count / total) * delta  # 0, not inf * 0, when empty
+        self.m2 += float(np.square(incomes - mean).sum()) + delta * (self.count * count / total) * delta
         self.count = total
 
     def std_error(self) -> float:
@@ -225,18 +222,6 @@ class _Kernel:
             pools = [{key: v[n:] for key, v in pool.items()} for pool, n in zip(pools, taken)]
 
 
-def _run_stream(spec: ChainSpec, strategy: Strategy, cycles: int, seed: int, stream: int,
-                segment_limit: int) -> _Moments:
-    """One independent replication of ``cycles`` cycles."""
-    kernel = _Kernel(spec, strategy, seed, stream, segment_limit)
-    moments = _Moments()
-    for batch in kernel.cycles():
-        take = cycles - moments.count
-        moments.fold(batch["start"][:take], batch["income"][:take])
-        if moments.count == cycles:
-            return moments
-
-
 def simulate(
     spec: ChainSpec,
     strategy: Strategy,
@@ -248,10 +233,11 @@ def simulate(
 ) -> SimulationStats:
     """Simulate ``replications`` independent streams of exactly ``cycles`` cycles and pool them.
 
-    Replication r uses the (seed, r) streams, and partial results are
-    merged in replication order, so the outcome is deterministic; the
-    default is replication 0 alone. Raises NumericOverflowError when the
-    total or the scatter of the incomes leaves the float range.
+    Replication r uses the (seed, r) streams, and the cycles of all
+    replications are folded into one total in replication order, so the
+    outcome is deterministic; the default is replication 0 alone. Raises
+    NumericOverflowError when the total or the scatter of the incomes
+    leaves the float range.
     """
     _check_count("cycles", cycles, 1)
     _check_count("replications", replications, 1)
@@ -260,10 +246,11 @@ def simulate(
     pooled = _Moments()
     with np.errstate(over="ignore", invalid="ignore"):
         for stream in range(replications):
-            part = _run_stream(spec, strategy, cycles, seed, stream, segment_limit)
-            pooled.merge(part.count, part.mean, part.m2)
-            pooled.total += part.total
-            pooled.counts = pooled.counts + part.counts
+            for batch in _Kernel(spec, strategy, seed, stream, segment_limit).cycles():
+                take = (stream + 1) * cycles - pooled.count
+                pooled.fold(batch["start"][:take], batch["income"][:take])
+                if take <= batch["income"].size:
+                    break
     if not (math.isfinite(pooled.total) and math.isfinite(pooled.m2)):
         raise NumericOverflowError(f"income total {pooled.total!r} or scatter {pooled.m2!r} overflowed")
     return SimulationStats(
@@ -292,25 +279,24 @@ def sample_trajectory(
     _check_count("max_steps", max_steps, 1)
     _check_strategy(strategy, spec.n_internal)
     c, d = spec.c.tolist(), [spec.d0.tolist(), spec.d1.tolist()]
-    events: list[TrajectoryEvent] = []
 
-    def segment(head: int, kind: str, delta: float, path: np.ndarray, exit_: int) -> None:
-        if not math.isfinite(delta):
-            raise NumericOverflowError(f"transfer income {delta!r} overflowed the float range")
-        events.append(TrajectoryEvent(len(events), head + 2, kind, delta))
-        for s in path.tolist():
-            events.append(TrajectoryEvent(len(events), s + 2, FREE_MOVE, c[s]))
-        events.append(TrajectoryEvent(len(events), exit_, ABSORPTION, 0.0))
-
-    with np.errstate(over="ignore", invalid="ignore"):
+    def segments():
         kernel = _Kernel(spec, strategy, seed, 0, max_steps, record=True)
-        segment(0, FREE_MOVE, c[0], kernel.warm["path"][0], int(kernel.warm["exit"][0]))
-        batches = kernel.cycles()
-        while len(events) < max_steps:
-            batch = next(batches)
+        yield 0, FREE_MOVE, c[0], kernel.warm["path"][0], int(kernel.warm["exit"][0])
+        for batch in kernel.cycles():
             for b, r, path, exit_ in zip(batch["start"].tolist(), batch["restart"].tolist(),
                                          batch["path"], batch["exit"].tolist()):
-                segment(r, TRANSFER, d[b][r] + c[r], path, exit_)
-                if len(events) >= max_steps:
-                    break
-    return events[:max_steps]
+                yield r, TRANSFER, d[b][r] + c[r], path, exit_
+
+    def events():
+        step = itertools.count()
+        for head, kind, delta, path, exit_ in segments():
+            if not math.isfinite(delta):
+                raise NumericOverflowError(f"transfer income {delta!r} overflowed the float range")
+            yield TrajectoryEvent(next(step), head + 2, kind, delta)
+            for s in path.tolist():
+                yield TrajectoryEvent(next(step), s + 2, FREE_MOVE, c[s])
+            yield TrajectoryEvent(next(step), exit_, ABSORPTION, 0.0)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        return list(itertools.islice(events(), max_steps))

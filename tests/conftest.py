@@ -46,6 +46,19 @@ OVERFLOW_TABLE = {  # every reward is finite, some table entries a are not
     "d0": [1.5e308, 1.5e308],
     "d1": [1.5e308, 1.5e308],
 }
+OVERFLOW_GAP = {  # value 1.7e308 and a sampled strategy's near -1.7e308: the refutation's gap overflows
+    "n_internal": 2, "p00": [[0.1, 0.1], [0.1, 0.1]], "p01": [[0.4, 0.4], [0.4, 0.4]],
+    "c": [0.0, 0.0], "d0": [1.7e308, -1.7e308], "d1": [1.7e308, -1.7e308],
+}
+# the minimum is finite, but a few sampled strategies' values round past the float limit to +inf
+OVERFLOWING_SAMPLES = {
+    "n_internal": 2,
+    "p00": [[0.11830203405369714, 0.5201531827070315], [0.46149196568153167, 0.19248770852046537]],
+    "p01": [[0.22768269277540648, 0.13386209046386485], [0.34375963692109895, 0.002260688876904014]],
+    "c": [1e-300, 1e-300],
+    "d0": [1.7976931348623155e308, 1.7976931348623157e308],
+    "d1": [1.7976931348623157e308, 1.7976931348623151e308],
+}
 OPPOSITE_COSTS = {  # every table entry is 0.0, the q-value step h = 2e308 / 1 is not finite
     "n_internal": 1, "p00": [[0]], "p01": [[0.5, 0.5]], "c": [0], "d0": [-1e308], "d1": [1e308],
 }

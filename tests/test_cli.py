@@ -19,7 +19,8 @@ from tuning import simulate, solve_tuning
 from tuning.cli import main
 
 from conftest import (
-    ONE_SIDED_EXITS, OPPOSITE_COSTS, OVERFLOW_RESIDUAL, OVERFLOW_REWARD, OVERFLOW_TABLE, REFERENCE, child_env,
+    ONE_SIDED_EXITS, OPPOSITE_COSTS, OVERFLOW_GAP, OVERFLOW_RESIDUAL, OVERFLOW_REWARD, OVERFLOW_TABLE,
+    OVERFLOWING_SAMPLES, REFERENCE, child_env,
 )
 from strats import edge_models
 
@@ -612,13 +613,21 @@ class TestFloatRange:
         ("table", "solve"),
         ("residual", "analyze"),
         ("residual", "solve"),
+        ("gap", "solve --refute-samples 1 --seed 3"),
     ])
     def test_overflow_exits_three(self, capsys, tmp_path, model, argv):
-        doc = {"reward": OVERFLOW_REWARD, "table": OVERFLOW_TABLE, "residual": OVERFLOW_RESIDUAL}[model]
+        doc = {"reward": OVERFLOW_REWARD, "table": OVERFLOW_TABLE, "residual": OVERFLOW_RESIDUAL, "gap": OVERFLOW_GAP}[model]
         command, *rest = argv.split()
         status, out = run_cli(capsys, command, str(write_json(tmp_path / "model.json", doc)), *rest)
         assert status == 3
         assert json.loads(out)["error"]["code"] == "OVERFLOW"
+
+    def test_refutation_beside_overflowing_samples_is_finite(self, capsys, tmp_path):
+        path = write_json(tmp_path / "model.json", OVERFLOWING_SAMPLES)
+        argv = ["--direction", "min", "--refute-samples", "200", "--seed", "11"]
+        status, out = run_cli(capsys, "solve", str(path), *argv)
+        assert status == 0
+        assert json.loads(out, parse_constant=_reject_constant)["refutation"]["violations"] == 0
 
     def test_finite_minimum_beside_an_overflowed_entry_is_solved(self, capsys, tmp_path):
         path = write_json(tmp_path / "model.json", OVERFLOW_TABLE)

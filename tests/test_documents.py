@@ -168,11 +168,11 @@ class TestPinnedOutputs:
             "--replications", "3", "--seed", "2",
         )
         assert status == 0
-        assert doc.pop("std_error") == pytest.approx(0.012041536560223623, rel=1e-12, abs=0)
+        assert doc.pop("std_error") == pytest.approx(0.012041536560223621, rel=1e-12, abs=0)
         assert doc == {
             "cycles": 30000,
-            "total_income": 69584.99999999256,
-            "i_hat": 2.3194999999997523,
+            "total_income": 69585.00000002286,
+            "i_hat": 2.319500000000762,
             "boundary_counts": [12525, 17475],
             "seed": 2,
             "replications": 3,

@@ -265,14 +265,22 @@ class TestRefutation:
         assert report.violations == 0
 
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(model=edge_models(), direction=st.sampled_from(tuning.optimizer.DIRECTIONS), seed=st.integers(0, 2**32))
-    def test_every_solved_edge_model_is_refuted_in_range(self, model, direction, seed):
+    @given(
+        model=edge_models(),
+        direction=st.sampled_from(tuning.optimizer.DIRECTIONS),
+        seed=st.integers(0, 2**32),
+        samples=st.sampled_from([1, 7, 200]),
+    )
+    def test_every_solved_edge_model_is_refuted_in_range(self, model, direction, seed, samples):
         spec = ChainSpec(**model)
         try:
             control = solve_tuning(spec, direction)
         except TuningError:
             return
-        report = refute_with_random_strategies(spec, control, 200, seed)
+        try:
+            report = refute_with_random_strategies(spec, control, samples, seed)
+        except NumericOverflowError:
+            return  # what it would print left the float range, never a non-finite field
         assert np.isfinite(report.best_observed) and np.isfinite(report.gap)
         assert report.violations == 0
 

@@ -24,7 +24,7 @@ from tuning import (
     validate_strategy,
     visit_income,
 )
-from tuning.simulator import _Picker, _run_stream
+from tuning.simulator import SimulationStats, _Kernel, _Moments, _Picker
 
 from conftest import OVERFLOW_REWARD, REF_I_STAR, REF_PI, REFERENCE
 from strats import mutated_alphas, spec_strategy_pairs
@@ -49,6 +49,17 @@ def trajectory_cycles(spec, strategy, cycles, seed):
         if len(incomes) >= cycles:
             return starts[:cycles], incomes[:cycles]
         steps *= 4
+
+
+def first_cycles(spec, strategy, seed, stream, cycles):
+    """Starts and incomes of the first ``cycles`` cycles of one replication,
+    batch by batch as the kernel yields them."""
+    left = cycles
+    for batch in _Kernel(spec, strategy, seed, stream, 10**9).cycles():
+        yield batch["start"][:left], batch["income"][:left]
+        left -= min(left, batch["income"].size)
+        if not left:
+            return
 
 
 @pytest.fixture
@@ -150,17 +161,18 @@ class TestReplications:
     def test_pooling_matches_manual_merge(self, reference_spec):
         strategy = degenerate_strategy(3, 3, 2)
         pooled = simulate(reference_spec, strategy, 1_000, seed=5, replications=3)
-        assert pooled.cycles == 3_000
-
-        totals, counts = 0.0, [0, 0]
+        # replication r is stream r, and all of them fold into one accumulator in order
+        moments = _Moments()
         for stream in range(3):
-            part = _run_stream(reference_spec, strategy, 1_000, 5, stream, 10**9)
-            totals += part.total
-            counts[0] += part.counts[0]
-            counts[1] += part.counts[1]
-        assert pooled.total_income == totals
-        assert pooled.boundary_counts == tuple(counts)
-        assert pooled.i_hat == totals / 3_000
+            for starts, incomes in first_cycles(reference_spec, strategy, 5, stream, 1_000):
+                moments.fold(starts, incomes)
+        assert pooled == SimulationStats(
+            cycles=3_000,
+            total_income=moments.total,
+            i_hat=moments.total / 3_000,
+            std_error=moments.std_error(),
+            boundary_counts=(int(moments.counts[0]), int(moments.counts[1])),
+        )
 
     def test_one_replication_equals_simulate(self, reference_spec):
         strategy = degenerate_strategy(3, 3, 2)
@@ -170,9 +182,12 @@ class TestReplications:
 
     def test_streams_are_independent(self, reference_spec):
         strategy = degenerate_strategy(3, 3, 2)
-        a = _run_stream(reference_spec, strategy, 100, 5, 0, 10**9)
-        b = _run_stream(reference_spec, strategy, 100, 5, 1, 10**9)
-        assert a.total != b.total  # totals from different streams differ
+        a, b = (
+            np.concatenate([incomes for _, incomes in first_cycles(reference_spec, strategy, 5, stream, 100)])
+            for stream in (0, 1)
+        )
+        assert a.size == b.size == 100
+        assert not np.array_equal(a, b)  # incomes from different streams differ
 
     def test_std_error_shrinks_with_replications(self, reference_spec):
         strategy = degenerate_strategy(3, 3, 2)
