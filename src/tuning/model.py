@@ -26,19 +26,22 @@ ROW_SUM_TOL = 1e-9
 def _frozen(values) -> np.ndarray:
     """Copy into a read-only array so instances are freely shareable.
 
-    Integer and float input becomes float. Any other dtype (strings,
-    booleans, objects) is kept as given for the validators to reject as
-    NOT_NUMERIC; converting with dtype=float would silently parse "0.5".
-    A list holding a bool, which numpy would upcast to 0/1, is kept as an
-    object array; array input is trusted to its dtype.
+    A list entry is a number if its type is int, float or a numpy integer or
+    floating type, not bool or np.bool_. Numbers become float64, an int beyond
+    the float range +-inf; a list holding anything else keeps a non-numeric
+    dtype for the validators to reject as NOT_NUMERIC, neither parsed ("0.5")
+    nor coerced (True to 1.0). Array input is trusted to its dtype.
     """
     arr = np.array(values)
-    if arr.dtype.kind in "iuf" and isinstance(values, (list, tuple)):
+    if arr.dtype.kind in "iufO" and isinstance(values, (list, tuple)):
         scalars = values  # a regular nested list, arr.ndim deep
         for _ in range(arr.ndim - 1):
             scalars = itertools.chain.from_iterable(scalars)
-        if bool in set(map(type, scalars)):
+        number = (int, float, np.integer, np.floating)
+        if not all(issubclass(t, number) and t is not bool for t in set(map(type, scalars))):
             arr = np.array(values, dtype=object)
+        elif arr.dtype.kind == "O":  # an int past int64/uint64; float(digits) is +-inf past the float range
+            arr = np.vectorize(lambda x: float(str(x) if isinstance(x, int) else x), otypes=[float])(arr)
     if arr.dtype.kind in "iuf":
         arr = arr.astype(float, copy=False)
     arr.flags.writeable = False

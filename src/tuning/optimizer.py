@@ -26,7 +26,6 @@ table is never built on the solve path; it stays available as
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -265,25 +264,20 @@ def refute_with_random_strategies(
     # side i: alpha_i @ g_i into rho_i and alpha_i @ b[:, 1 - i] into to_(1 - i)
     sides = ((g0, b1, top0, rho0, to1), (g1, b0, top1, rho1, to0))
     flat = samples - samples // 2
-    errors: list[BaseException | None] = [None, None]
 
     def draw(side: int) -> None:
         g, b, top, rho, to = sides[side]
-        try:
-            for key, labels, part in ((side, slice(None), slice(flat)), (side + 2, top, slice(flat, None))):
-                rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(key,))))
-                _simplex_dots(rng, g[labels], b[labels], rho[part], to[part])
-        except BaseException as exc:  # raised by the caller after join
-            errors[side] = exc
+        for key, labels, part in ((side, slice(None), slice(flat)), (side + 2, top, slice(flat, None))):
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(key,))))
+            _simplex_dots(rng, g[labels], b[labels], rho[part], to[part])
 
-    # the daemon flag only keeps a join cut short by a second interrupt from
-    # holding the interpreter open at exit
-    thread = threading.Thread(target=draw, args=(1,), name="refute-alpha1", daemon=True)
-    thread.start()
-    draw(0)
-    thread.join()
-    for exc in filter(None, errors):  # the calling thread's own exception first
-        raise exc
+    # imported here: concurrent.futures loads logging, which no other command needs
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(1, thread_name_prefix="refute-alpha1") as pool:
+        side1 = pool.submit(draw, 1)
+        draw(0)  # an exception here leaves the block, which joins side 1 first
+    side1.result()
     with np.errstate(over="ignore"):
         values = np.ldexp(_ratio(rho0, rho1, to0, to1), e)
         # may round to inf within DOMINANCE_TOL of the float limit, where no

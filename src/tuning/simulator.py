@@ -179,7 +179,7 @@ class _Kernel:
         if self.record:
             pool["restart"] = state
         ids, inc, moves, steps = np.arange(state.size), income, [], 1
-        while ids.size:
+        while ids.size and steps <= self.limit:
             j = self.step(state, rng.random(ids.size))
             hit = j < 2
             if hit.any():
@@ -191,10 +191,8 @@ class _Kernel:
             steps += 1
             if self.record:
                 moves.append((ids, state))
-            if ids.size and steps > self.limit:
-                if self.record:
-                    break
-                raise CycleLimitError(f"a segment exceeded {self.limit} steps without absorption")
+        if ids.size and not self.record:
+            raise CycleLimitError(f"a segment exceeded {self.limit} steps without absorption")
         if self.record:
             ids = np.concatenate([i for i, _ in moves] + [np.zeros(0, dtype=np.intp)])
             order = np.argsort(ids, kind="stable")

@@ -138,6 +138,35 @@ class TestValidateCommand:
         assert report["valid"] is False
         assert [e["code"] for e in report["errors"]] == ["BAD_COUNT"]
 
+    @pytest.mark.parametrize("c, status, errors", [
+        ([100000000000000000000, 0], 0, []),
+        # 400 digits, read as JSON reads 1e400
+        ([10**399, 0], 1, [{"code": "NOT_FINITE", "message": "c contains NaN or infinity", "where": "c"}]),
+    ], ids=["beyond-int64", "beyond-float"])
+    def test_integer_entry_is_a_number(self, capsys, tmp_path, reference_model_file, c, status, errors):
+        doc = json.loads(reference_model_file.read_text())
+        doc["c"] = c
+        assert main(["validate", str(write_json(tmp_path / "big.json", doc))]) == status
+        captured = capsys.readouterr()
+        assert (json.loads(captured.out)["errors"], captured.err) == (errors, "")
+
+    def test_integer_below_int64_solves_as_its_float(self, capsys, tmp_path, reference_model_file):
+        outs = []
+        for name, c in (("int", [-9223372036854775809, 0]), ("float", [-9.223372036854776e18, 0])):
+            doc = json.loads(reference_model_file.read_text())
+            doc["c"] = c
+            status, out = run_cli(capsys, "solve", str(write_json(tmp_path / f"{name}.json", doc)))
+            assert status == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["value"] == -6.148914691236517e18
+
+    def test_integer_strategy_entry_is_a_number(self, capsys, tmp_path, reference_model_file):
+        strategy = write_json(tmp_path / "big.json", {"alpha0": [100000000000000000000, 0], "alpha1": [0.5, 0.5]})
+        status, out = run_cli(capsys, "simulate", str(reference_model_file), "--strategy", str(strategy))
+        assert status == 1
+        assert [e["code"] for e in json.loads(out)["errors"]] == ["NOT_NORMALIZED"]
+
     @pytest.mark.parametrize("text, message", [
         ("{not json", "model file is not valid JSON: Expecting property name enclosed in double quotes: "
                       "line 1 column 2 (char 1)"),
@@ -1045,6 +1074,12 @@ class TestSubprocessEntryPoint:
         second = subprocess.run(argv, capture_output=True, env=child_env(**warnings_as_errors, **second_env))
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
+
+    def test_cli_import_leaves_the_thread_pool_unloaded(self):
+        # the refutation imports concurrent.futures, and with it logging, when it first runs
+        code = "import sys, tuning.cli; print('concurrent.futures' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=child_env())
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"False\n", b"")
 
     def test_overflow_exits_three_with_warnings_as_errors(self, tmp_path, reference_model_file):
         doc = json.loads(reference_model_file.read_text())

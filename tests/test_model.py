@@ -185,6 +185,11 @@ class TestValidateChain:
             ("d0", [True, False]),
             ("p01", [[0.3, None], [0.1, 0.4]]),
             ("p00", [[0.2, 0.3], [True, 0.1]]),
+            ("c", [True, 2.0]),
+            ("c", [np.True_, 2.0]),  # np.bool_ is no bool subclass, and numpy reads it as 1.0
+            ("c", ["0.5", 1]),
+            ("c", [None, 1]),
+            ("c", [1 + 2j, 1]),
         ],
     )
     def test_non_numeric_entries_are_rejected_not_parsed(self, reference_spec, field, value):
@@ -194,11 +199,20 @@ class TestValidateChain:
         assert codes(report) == ["NOT_NUMERIC"]
         assert report.errors[0].where == field
 
-    def test_integer_entries_load_as_float(self, reference_spec):
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("c", [1, 2]),
+            ("c", [np.int64(1), np.int64(2)]),
+            ("p00", [np.array([0.2, 0.3]), np.array([0.4, 0.1])]),  # float64 rows
+        ],
+        ids=["int", "np-int64", "ndarray-rows"],
+    )
+    def test_integer_entries_load_as_float(self, reference_spec, field, value):
         doc = to_doc(reference_spec)
-        doc["c"] = [1, 2]
+        doc[field] = value
         spec = chain_spec_from_dict(doc)
-        assert spec.c.dtype == np.float64
+        assert getattr(spec, field).dtype == np.float64
         assert validate_chain(spec).ok
 
     def test_numpy_integer_count_is_accepted(self, reference_spec):

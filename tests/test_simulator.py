@@ -71,6 +71,16 @@ def one_state_deterministic():
     return spec, degenerate_strategy(2, 2, 1)
 
 
+@pytest.fixture
+def two_state_segments():
+    # restart at label 2, then label 3 for sure, then the boundary: every
+    # segment, warm-up included, holds exactly 2 internal states
+    spec = ChainSpec(
+        n_internal=2, p00=[[0, 1], [0, 0]], p01=[[0, 0], [0.5, 0.5]], c=[1, 2], d0=[-1, -1], d1=[-1, -1]
+    )
+    return spec, degenerate_strategy(2, 2, 2)
+
+
 class TestSimulate:
     def test_deterministic_cycle_has_zero_variance(self, one_state_deterministic):
         spec, strategy = one_state_deterministic
@@ -155,6 +165,12 @@ class TestSimulate:
         )
         with pytest.raises(CycleLimitError):
             simulate(spec, degenerate_strategy(2, 2, 1), cycles=1, seed=1, segment_limit=1_000)
+
+    def test_segment_of_exactly_the_limit_runs(self, two_state_segments):
+        stats = simulate(*two_state_segments, cycles=5, seed=0, segment_limit=2)
+        assert (stats.total_income, stats.boundary_counts) == (10.0, (2, 3))
+        with pytest.raises(CycleLimitError):
+            simulate(*two_state_segments, cycles=5, seed=0, segment_limit=1)
 
 
 class TestReplications:
@@ -308,6 +324,16 @@ class TestTrajectory:
         events = sample_trajectory(spec, degenerate_strategy(2, 2, 1), 300, seed=1)
         assert [e.step for e in events] == list(range(300))
         assert {e.event_kind for e in events} == {"free_move"}
+
+    def test_two_state_segments_are_pinned(self, two_state_segments):
+        events = sample_trajectory(*two_state_segments, 5, seed=0)
+        assert [(e.step, e.state, e.event_kind, e.income_delta) for e in events] == [
+            (0, 2, "free_move", 1.0),
+            (1, 3, "free_move", 2.0),
+            (2, 0, "absorption", 0.0),
+            (3, 2, "transfer", 0.0),
+            (4, 3, "free_move", 2.0),
+        ]
 
     def test_deterministic_given_seed(self, reference_spec):
         strategy = Strategy([0.5, 0.5], [0.5, 0.5])
