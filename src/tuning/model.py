@@ -286,8 +286,9 @@ def degenerate_strategy(m0: int, m1: int, n_internal: int) -> Strategy:
     """Deterministic strategy: always restart at label m0 from boundary 0
     and at label m1 from boundary 1.
 
-    Raises ValueError unless each label is an int in {2, ..., n_internal + 1}.
+    Raises ValueError unless n_internal is an int >= 1 and each label an int in {2, ..., n_internal + 1}.
     """
+    _check_count("n_internal", n_internal, 1)
     _check_label("m0", m0, n_internal)
     _check_label("m1", m1, n_internal)
     alpha0 = np.zeros(n_internal)

@@ -6,8 +6,8 @@ same boundary state are iid (Crane & Iglehart 1975; Glynn & Iglehart
 cycles of a pool in numpy lockstep, and stitches the pools into one path.
 `simulate` and `sample_trajectory` run this one kernel.
 
-* The process starts at the smallest internal label. The warm-up segment
-  (start to first boundary hit) is excluded from all accounting.
+* Every replication starts at boundary 0, a regeneration point, so its
+  first step is a restart drawn from alpha0.
 * A cycle runs from one boundary hit to the next. Its income is the
   transfer cost d_l of the chosen restart state, plus c_l once for every
   step spent in an internal state, the restart (arrival) state included,
@@ -17,7 +17,7 @@ cycles of a pool in numpy lockstep, and stitches the pools into one path.
   ascending internal labels: exactly `bisect_right` on the cumulative row.
 * Streams: replication s of seed k draws from the PCG64 streams
   SeedSequence(k, spawn_key=(s, j)); j = 0 and 1 feed the pools of
-  boundary 0 and 1, j = 2 the warm-up; one replication is s = 0.
+  boundary 0 and 1; one replication is s = 0.
 * Pool b grows in chunks of 1, 16, 256 and then 4096 cycles each. A chunk
   draws one uniform per restart, then one per running cycle per step.
   The schedule does not depend on the request, so `simulate` with any
@@ -26,7 +26,7 @@ cycles of a pool in numpy lockstep, and stitches the pools into one path.
   Buffered cycles are stitched as far as they reach, folded into the
   totals, and only the pool that ran out is refilled.
 * ``segment_limit`` bounds the internal states of every drawn segment,
-  warm-up included, used or not: a longer one raises CycleLimitError.
+  used or not: a longer one raises CycleLimitError.
   `sample_trajectory` cuts segments at ``max_steps`` states instead.
 """
 
@@ -54,7 +54,7 @@ class TrajectoryEvent:
     """One step of a sampled path.
 
     ``income_delta`` is the income recognized at this step: c_l for a free
-    move to (or start at) internal state l, 0 for an absorption, and
+    move to internal state l, 0 for an absorption, and
     d_l + c_l for a transfer restarting at internal state l (the arrival
     step counts as time spent in l).
     """
@@ -67,7 +67,7 @@ class TrajectoryEvent:
 
 @dataclass(frozen=True)
 class SimulationStats:
-    """Aggregates over completed cycles; the warm-up segment is excluded.
+    """Aggregates over completed cycles.
 
     ``boundary_counts[j]`` counts cycles that started at boundary state j,
     so the two entries sum to ``cycles``. ``i_hat`` is total_income /
@@ -153,7 +153,7 @@ def _stitch(at: int, exits: list[np.ndarray]) -> tuple[np.ndarray, int]:
 
 
 class _Kernel:
-    """One replication: the warm-up, drawn here, then the stitched pools.
+    """One replication: the stitched pools, from boundary 0.
 
     A pool is a dict of per-cycle arrays, "exit" and "income"; recording
     adds the "restart" state and the "path" of later internal states, and
@@ -167,24 +167,23 @@ class _Kernel:
         self.c, self.d = spec.c, np.vstack([spec.d0, spec.d1])
         self.limit, self.record = segment_limit, record
         _check_count("seed", seed, 0)
-        seeds = [np.random.SeedSequence(seed, spawn_key=(stream, j)) for j in range(3)]
-        self.rngs = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
-        start = np.zeros(1, dtype=np.intp)
-        self.warm = self._draw(self.rngs[2], start, self.c[start])
+        self.rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, j))) for j in (0, 1)]
 
-    def _draw(self, rng: np.random.Generator, state: np.ndarray, income: np.ndarray) -> dict:
-        """Step segments from internal states to the boundary in lockstep.
-        ``income`` holds each segment's income so far."""
-        pool = {"exit": np.zeros(state.size, dtype=np.intp), "income": income}
+    def _draw(self, at: int, size: int) -> dict:
+        """Draw ``size`` cycles from boundary ``at`` on its stream: the
+        restarts, then steps in lockstep until each cycle hits the boundary."""
+        rng = self.rngs[at]
+        state = self.restart(np.full(size, at), rng.random(size))
+        pool = {"exit": np.zeros(size, dtype=np.intp), "income": self.d[at, state] + self.c[state]}
         if self.record:
             pool["restart"] = state
-        ids, inc, moves, steps = np.arange(state.size), income, [], 1
+        ids, inc, moves, steps = np.arange(size), pool["income"], [], 1
         while ids.size and steps <= self.limit:
             j = self.step(state, rng.random(ids.size))
             hit = j < 2
             if hit.any():
                 done, live = ids[hit], ~hit
-                pool["exit"][done], income[done] = j[hit], inc[hit]
+                pool["exit"][done], pool["income"][done] = j[hit], inc[hit]
                 ids, j, inc = ids[live], j[live], inc[live]
             state = j - 2
             inc = inc + self.c[state]
@@ -197,21 +196,18 @@ class _Kernel:
             ids = np.concatenate([i for i, _ in moves] + [np.zeros(0, dtype=np.intp)])
             order = np.argsort(ids, kind="stable")
             to = np.concatenate([s for _, s in moves] + [np.zeros(0, dtype=np.intp)])[order]
-            parts = np.split(to, np.cumsum(np.bincount(ids, minlength=income.size))[:-1])
-            pool["path"] = np.fromiter(parts, dtype=object, count=income.size)
+            parts = np.split(to, np.cumsum(np.bincount(ids, minlength=size))[:-1])
+            pool["path"] = np.fromiter(parts, dtype=object, count=size)
         return pool
 
     def cycles(self):
-        """Yield consecutive stitched cycles after the warm-up, in batches:
+        """Yield consecutive stitched cycles from boundary 0, in batches:
         the pool arrays in visit order plus "start", True at boundary 1."""
-        at, sizes = int(self.warm["exit"][0]), [1, 1]
-        pools = [self._draw(None, np.zeros(0, dtype=np.intp), np.zeros(0))] * 2  # empty
+        at, sizes = 0, [1, 1]
+        pools = [self._draw(0, 0)] * 2  # empty: a draw of no cycles takes no uniforms
         while True:
             if not pools[at]["exit"].size:
-                size, rng = sizes[at], self.rngs[at]
-                sizes[at] = min(16 * size, _CHUNK_CAP)
-                restart = self.restart(np.full(size, at), rng.random(size))
-                pools[at] = self._draw(rng, restart, self.d[at, restart] + self.c[restart])
+                pools[at], sizes[at] = self._draw(at, sizes[at]), min(16 * sizes[at], _CHUNK_CAP)
             order, at = _stitch(at, [pool["exit"] for pool in pools])
             batch = {key: np.concatenate([pools[0][key], pools[1][key]])[order] for key in pools[0]}
             batch["start"] = order >= pools[0]["exit"].size
@@ -268,33 +264,27 @@ def sample_trajectory(
 ) -> list[TrajectoryEvent]:
     """Record ``max_steps`` raw steps of the controlled process (replication 0).
 
-    Step 0 is the start at the smallest internal label. The path is built
-    from the same cycles as `simulate` with the same seed, so summing
-    income_delta over the events of each completed cycle (first transfer
-    after an absorption up to the next absorption) reproduces the
-    per-cycle incomes exactly.
+    Step 0 is the first transfer from boundary 0. The path is built from
+    the same cycles as `simulate` with the same seed, so summing
+    income_delta over the events of each completed cycle (a transfer up to
+    the next absorption) reproduces the per-cycle incomes exactly.
     """
     _check_count("max_steps", max_steps, 1)
     _check_strategy(strategy, spec.n_internal)
     c, d = spec.c.tolist(), [spec.d0.tolist(), spec.d1.tolist()]
 
-    def segments():
-        kernel = _Kernel(spec, strategy, seed, 0, max_steps, record=True)
-        yield 0, FREE_MOVE, c[0], kernel.warm["path"][0], int(kernel.warm["exit"][0])
-        for batch in kernel.cycles():
-            for b, r, path, exit_ in zip(batch["start"].tolist(), batch["restart"].tolist(),
-                                         batch["path"], batch["exit"].tolist()):
-                yield r, TRANSFER, d[b][r] + c[r], path, exit_
-
     def events():
         step = itertools.count()
-        for head, kind, delta, path, exit_ in segments():
-            if not math.isfinite(delta):
-                raise NumericOverflowError(f"transfer income {delta!r} overflowed the float range")
-            yield TrajectoryEvent(next(step), head + 2, kind, delta)
-            for s in path.tolist():
-                yield TrajectoryEvent(next(step), s + 2, FREE_MOVE, c[s])
-            yield TrajectoryEvent(next(step), exit_, ABSORPTION, 0.0)
+        for batch in _Kernel(spec, strategy, seed, 0, max_steps, record=True).cycles():
+            for b, r, path, exit_ in zip(batch["start"].tolist(), batch["restart"].tolist(),
+                                         batch["path"], batch["exit"].tolist()):
+                delta = d[b][r] + c[r]
+                if not math.isfinite(delta):
+                    raise NumericOverflowError(f"transfer income {delta!r} overflowed the float range")
+                yield TrajectoryEvent(next(step), r + 2, TRANSFER, delta)
+                for s in path.tolist():
+                    yield TrajectoryEvent(next(step), s + 2, FREE_MOVE, c[s])
+                yield TrajectoryEvent(next(step), exit_, ABSORPTION, 0.0)
 
     with np.errstate(over="ignore", invalid="ignore"):
         return list(itertools.islice(events(), max_steps))

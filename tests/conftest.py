@@ -67,6 +67,12 @@ ONE_SIDED_EXITS = {
     "n_internal": 2, "p00": [[0.5, 0], [0, 0.5]], "p01": [[0.5, 1e-16], [1e-16, 0.5]],
     "c": [1, 2], "d0": [-1, -1], "d1": [-1, -1],
 }
+# valid, label 2 keeps the process ~1e13 steps; strategy (3, 3) never enters it,
+# and each of its cycles is one step with income d0[1] + c[1] = 1.0
+TRAP_AT_LABEL_2 = {
+    "n_internal": 2, "p00": [[0.9999999999999, 0.0], [0.0, 0.0]], "p01": [[5e-14, 5e-14], [0.5, 0.5]],
+    "c": [1.0, 2.0], "d0": [-1.0, -1.0], "d1": [-1.0, -1.0],
+}
 OVERFLOW_RESIDUAL = {  # r is finite, its residual (I - P00) r is not
     "n_internal": 3,
     "p00": [[0.25, 0.26, 0.06], [0.23, 0.11, 0.16], [0.09, 0.5, 0.37]],

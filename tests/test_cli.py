@@ -20,7 +20,7 @@ from tuning.cli import main
 
 from conftest import (
     ONE_SIDED_EXITS, OPPOSITE_COSTS, OVERFLOW_GAP, OVERFLOW_RESIDUAL, OVERFLOW_REWARD, OVERFLOW_TABLE,
-    OVERFLOWING_SAMPLES, REFERENCE, child_env,
+    OVERFLOWING_SAMPLES, REFERENCE, TRAP_AT_LABEL_2, child_env,
 )
 from strats import edge_models
 
@@ -517,6 +517,16 @@ class TestSimulateCommand:
         assert status == 3
         assert json.loads(out)["error"]["code"] == "CYCLE_LIMIT"
 
+    def test_unvisited_slow_state_costs_no_steps(self, capsys, tmp_path):
+        # every run starts at boundary 0, so no segment walks the trap at label 2
+        path = write_json(tmp_path / "trap.json", TRAP_AT_LABEL_2)
+        status, out = run_cli(
+            capsys, "simulate", str(path), "--degenerate", "3", "3", "--cycles", "1000", "--segment-limit", "1000",
+        )
+        assert status == 0
+        doc = json.loads(out)
+        assert (doc["i_hat"], doc["std_error"], doc["total_income"]) == (1.0, 0.0, 1000.0)
+
 
 class TestTrajectoryCommand:
     def test_csv_layout(self, capsys, reference_model_file):
@@ -536,8 +546,8 @@ class TestTrajectoryCommand:
         lines = out.splitlines()
         assert lines[0] == "step,state,event_kind,income_delta"
         assert len(lines) == 51
-        first = lines[1].split(",")
-        assert first[:3] == ["0", "2", "free_move"]
+        # step 0 is the transfer from boundary 0 to m0 = 3, worth d0[1] + c[1]
+        assert lines[1] == "0,3,transfer,1.0"
 
 
 class TestSeedComesFromTheOptionOnly:

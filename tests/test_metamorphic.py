@@ -2,11 +2,17 @@
 the answer for the original, so the whole pipeline is checked at sizes no
 exact oracle reaches.
 
-- R1 relabel: permuting the internal states permutes the optimal pair and
-  every strategy, and keeps every value.
+- R1 relabel: permuting the internal states permutes the optimal pair,
+  every strategy and the rows and columns of the a, b and c tables, and
+  keeps every value.
 - R2 swap: swapping the boundary states (the columns of p01, and d0 with
   d1) swaps the optimal pair and the two restart distributions, and keeps
   every value.
+- R3 split: giving state k a copy that shares k's row, each of the two
+  taking half of the mass that entered k, keeps every value (lumpability:
+  Kemeny & Snell 1960). A strategy's mass at k is halved between the
+  copies, and the optimal pair maps back through the copy. k is the
+  optimal m0 state of each direction, so the split meets the optimum.
 - R4 shift: adding 0.5 to every transfer cost adds 0.5 to every value,
   since each cycle pays exactly one transfer, and keeps the pair.
 - Simulation: scaling c, d0 and d1 by 8 scales ``i_hat`` and
@@ -25,10 +31,18 @@ indicator routes with one random strategy, and over 3000
   swap       0         4.3e-16 (the ratio route 0)
   shift      3.7e-16   3.0e-16
 
-TOL allows about five times as much, except that a swapped solve must be
-bit-identical. R3 (split a state) waits on ROADMAP item 1: it turns some
-``ill_conditioned_specs`` solves into SINGULAR_SYSTEM, and those models
-must not be narrowed to make it pass.
+R1's tables and R3 were measured over 400 other ``random_spec`` models
+(394 with n 1-40 and six with n = 300, seed 20261022). The relabeled
+tables differed from the permuted ones by at most 3.3e-15 (a), 3.6e-15
+(b, absolute: its entries lie in [0, 2]) and 1.6e-15 (c). Splitting each
+direction's optimal m0 state moved the solve by at most 5.7e-15 and the
+routes by 5.9e-15, and every mapped-back pair was optimal. Over 3000
+``spec_strategy_pairs`` examples the tables differed by at most 8.8e-16.
+
+TOL and TABLE_TOL allow about five times as much, except that a swapped
+solve must be bit-identical. R3 runs on ``random_spec`` models only: over
+``ill_conditioned_specs`` it turns some solves into SINGULAR_SYSTEM (ROADMAP
+item 1), and those models must not be narrowed to make it pass.
 
 The pair check allows for ties. The lexicographic tie-break is not
 invariant under relabeling, so the transformed solve's pair, mapped back,
@@ -49,7 +63,10 @@ from tuning.stationary import ROUTES
 from oracles import random_spec, random_strategy
 from strats import spec_strategy_pairs
 
-TOL = {"relabel": (1e-14, 1e-14), "swap": (0.0, 2e-15), "shift": (2e-15, 2e-15)}  # (solve, routes)
+TOL = {  # (solve, routes)
+    "relabel": (1e-14, 1e-14), "swap": (0.0, 2e-15), "split": (3e-14, 3e-14), "shift": (2e-15, 2e-15),
+}
+TABLE_TOL = 2e-14
 PAIR_TOL = 1e-12
 DIRECTIONS = ("maximize", "minimize")
 
@@ -81,19 +98,33 @@ def relations(spec: ChainSpec, perm: np.ndarray) -> dict:
     }
 
 
+def split(spec: ChainSpec, k: int) -> tuple:
+    """R3 in the form of one entry of `relations`: state k gets a copy,
+    label n + 2, with k's row, and each column of the two holds half of k's."""
+    to = np.append(np.arange(spec.n_internal), k)
+    half = np.where(to == k, 0.5, 1.0)
+    return (
+        ChainSpec(spec.n_internal + 1, spec.p00[np.ix_(to, to)] * half, spec.p01[to], spec.c[to], spec.d0[to],
+                  spec.d1[to]),
+        lambda m0, m1: (int(to[m0 - 2]) + 2, int(to[m1 - 2]) + 2),
+        lambda a0, a1: (a0[to] * half, a1[to] * half),
+        0.0,
+    )
+
+
 def reward_scale(*specs: ChainSpec) -> float:
     """max|d_i + r| over the models: the size of what each route rounds."""
     return max(float(np.max(np.abs(np.concatenate([s.d0, s.d1]) + np.tile(analyze_chain(s).r, 2)))) for s in specs)
 
 
-def relation_errors(spec: ChainSpec, perm: np.ndarray, strategy) -> dict:
-    """Per relation, relative to the reward scale: the largest value error of
-    the solves in both directions, that of the three routes on ``strategy``,
-    and how far the transformed optima's pairs, mapped back, are from the
-    optimum in the original table."""
+def relation_errors(spec: ChainSpec, strategy, moves: dict) -> dict:
+    """Per relation of ``moves``, relative to the reward scale: the largest
+    value error of the solves in both directions, that of the three routes
+    on ``strategy``, and how far the transformed optima's pairs, mapped
+    back, are from the optimum in the original table."""
     table = cost_coefficients(spec, analyze_chain(spec)).c_table
     errors = {}
-    for name, (moved, back, move, shift) in relations(spec, perm).items():
+    for name, (moved, back, move, shift) in moves.items():
         solve, routes, pair = 0.0, 0.0, 0.0
         for direction in DIRECTIONS:
             control, other = solve_tuning(spec, direction), solve_tuning(moved, direction)
@@ -109,11 +140,22 @@ def relation_errors(spec: ChainSpec, perm: np.ndarray, strategy) -> dict:
     return errors
 
 
-def assert_relations_hold(spec: ChainSpec, perm: np.ndarray, strategy) -> None:
-    for name, (solve, routes, pair) in relation_errors(spec, perm, strategy).items():
+def assert_relations_hold(spec: ChainSpec, strategy, moves: dict) -> None:
+    for name, (solve, routes, pair) in relation_errors(spec, strategy, moves).items():
         assert solve <= TOL[name][0], name
         assert routes <= TOL[name][1], name
         assert pair <= PAIR_TOL, name
+
+
+def assert_relabel_permutes_tables(spec: ChainSpec, perm: np.ndarray) -> None:
+    """R1 on the tables: a and c relative to the reward scale, b absolute."""
+    moved = relations(spec, perm)["relabel"][0]
+    scale = reward_scale(spec, moved) or 1.0
+    ix = np.ix_(perm, perm)
+    tables = [cost_coefficients(s, analyze_chain(s)) for s in (spec, moved)]
+    for name, unit in (("a_table", scale), ("b_table", 1.0), ("c_table", scale)):
+        original, relabeled = (getattr(t, name) for t in tables)
+        assert np.max(np.abs(relabeled - original[ix])) <= TABLE_TOL * unit, name
 
 
 class TestSolveAndRoutes:
@@ -122,13 +164,23 @@ class TestSolveAndRoutes:
     def test_relations_hold_on_generated_models(self, pair, data):
         spec, strategy = pair
         perm = np.array(data.draw(st.permutations(range(spec.n_internal))), dtype=np.intp)
-        assert_relations_hold(spec, perm, strategy)
+        assert_relations_hold(spec, strategy, relations(spec, perm))
+        assert_relabel_permutes_tables(spec, perm)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_relations_hold_at_n_300(self, seed):
         rng = np.random.default_rng(seed)
-        spec = random_spec(rng, 300)
-        assert_relations_hold(spec, rng.permutation(300), random_strategy(rng, 300))
+        spec, perm = random_spec(rng, 300), rng.permutation(300)
+        assert_relations_hold(spec, random_strategy(rng, 300), relations(spec, perm))
+        assert_relabel_permutes_tables(spec, perm)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 40, 300])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_splitting_the_optimal_m0_state_keeps_the_optimum(self, n, seed):
+        rng = np.random.default_rng(seed)
+        spec, strategy = random_spec(rng, n), random_strategy(rng, n)
+        for direction in DIRECTIONS:
+            assert_relations_hold(spec, strategy, {"split": split(spec, solve_tuning(spec, direction).m0_star - 2)})
 
 
 class TestSimulation:

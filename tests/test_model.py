@@ -313,6 +313,10 @@ class TestDegenerateStrategy:
         strategy = degenerate_strategy(np.int64(3), 2, 2)
         assert strategy.alpha0.tolist() == [0.0, 1.0]
 
+    def test_no_internal_state_is_a_count_error(self):
+        with pytest.raises(ValueError, match=r"^n_internal must be >= 1, got 0$"):
+            degenerate_strategy(2, 2, 0)
+
 
 # each library count, called with k and a valid value of every other count
 COUNTED_CALLS = [
@@ -324,9 +328,10 @@ COUNTED_CALLS = [
     ("segment_limit", lambda spec, strategy, k: simulate(spec, strategy, 5, 1, segment_limit=k)),
     ("max_steps", lambda spec, strategy, k: sample_trajectory(spec, strategy, k, 1)),
     ("seed", lambda spec, strategy, k: sample_trajectory(spec, strategy, 5, k)),
+    ("n_internal", lambda spec, strategy, k: degenerate_strategy(2, 2, k)),
 ]
 COUNTED_IDS = ["refute-samples", "refute-seed", "simulate-cycles", "simulate-seed", "simulate-replications",
-               "simulate-segment_limit", "trajectory-max_steps", "trajectory-seed"]
+               "simulate-segment_limit", "trajectory-max_steps", "trajectory-seed", "degenerate-n_internal"]
 
 
 class TestLibraryCounts:

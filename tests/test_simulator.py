@@ -26,25 +26,25 @@ from tuning import (
 )
 from tuning.simulator import SimulationStats, _Kernel, _Moments, _Picker
 
-from conftest import OVERFLOW_REWARD, REF_I_STAR, REF_PI, REFERENCE
+from conftest import OVERFLOW_REWARD, REF_I_STAR, REF_PI, REFERENCE, TRAP_AT_LABEL_2
 from strats import mutated_alphas, spec_strategy_pairs
 
 
 def trajectory_cycles(spec, strategy, cycles, seed):
     """Start boundaries and incomes of the first ``cycles`` completed cycles
-    of the sampled path, each income summed in path order."""
+    of the sampled path, each income summed in path order. The path starts
+    at boundary 0, and each cycle runs from a transfer to an absorption."""
     steps = 16 * cycles + 64
     while True:
-        starts, incomes, at, acc = [], [], None, None
+        starts, incomes, at = [], [], 0
         for event in sample_trajectory(spec, strategy, steps, seed):
             if event.event_kind == "absorption":
-                if acc is not None:
-                    starts.append(at)
-                    incomes.append(acc)
-                at, acc = event.state, None
+                starts.append(at)
+                incomes.append(acc)
+                at = event.state
             elif event.event_kind == "transfer":
                 acc = event.income_delta
-            elif acc is not None:
+            else:
                 acc += event.income_delta
         if len(incomes) >= cycles:
             return starts[:cycles], incomes[:cycles]
@@ -74,7 +74,7 @@ def one_state_deterministic():
 @pytest.fixture
 def two_state_segments():
     # restart at label 2, then label 3 for sure, then the boundary: every
-    # segment, warm-up included, holds exactly 2 internal states
+    # segment holds exactly 2 internal states
     spec = ChainSpec(
         n_internal=2, p00=[[0, 1], [0, 0]], p01=[[0, 0], [0.5, 0.5]], c=[1, 2], d0=[-1, -1], d1=[-1, -1]
     )
@@ -273,12 +273,13 @@ class TestStrategyLength:
 
 
 class TestTrajectory:
-    def test_starts_at_smallest_internal_label(self, reference_spec):
-        events = sample_trajectory(reference_spec, degenerate_strategy(3, 3, 2), 5, seed=0)
-        assert events[0].step == 0
-        assert events[0].state == 2
-        assert events[0].event_kind == "free_move"
-        assert events[0].income_delta == reference_spec.c[0]
+    def test_starts_with_a_transfer_from_boundary_0(self, reference_spec):
+        # d0 and d1 differ at every label, so a transfer from boundary 1 would show
+        spec, strategy = reference_spec, Strategy([0.25, 0.75], [0.5, 0.5])
+        firsts = {sample_trajectory(spec, strategy, 1, seed=seed)[0] for seed in range(20)}
+        assert {(e.step, e.event_kind) for e in firsts} == {(0, "transfer")}
+        assert {e.state for e in firsts} == {2, 3}  # alpha0's support
+        assert all(e.income_delta == spec.d0[e.state - 2] + spec.c[e.state - 2] for e in firsts)
 
     def test_transfer_overflow_raises(self):
         # d + c of a transfer overflows, as simulate's total does
@@ -288,12 +289,8 @@ class TestTrajectory:
     def test_alternation_when_absorption_is_immediate(self, one_state_deterministic):
         spec, strategy = one_state_deterministic
         events = sample_trajectory(spec, strategy, 41, seed=3)
-        kinds = [e.event_kind for e in events]
-        assert kinds[0] == "free_move"
-        assert kinds[1] == "absorption"
-        # strict alternation afterwards
-        for i in range(2, 41):
-            assert kinds[i] == ("transfer" if i % 2 == 0 else "absorption")
+        # strict alternation from step 0
+        assert [e.event_kind for e in events] == [("transfer", "absorption")[i % 2] for i in range(41)]
 
     def test_absorption_followed_by_supported_transfer(self, reference_spec):
         strategy = degenerate_strategy(3, 2, 2)
@@ -317,18 +314,25 @@ class TestTrajectory:
                 assert cur.income_delta == expected
 
     def test_slow_chain_is_cut_at_max_steps(self):
-        # expected segment length ~1e12: the path ends inside the warm-up
+        # expected segment length ~1e12: the path ends inside the first cycle
         spec = ChainSpec(
             n_internal=1, p00=[[0.999999999999]], p01=[[5e-13, 5e-13]], c=[1.0], d0=[-1.0], d1=[-1.0]
         )
         events = sample_trajectory(spec, degenerate_strategy(2, 2, 1), 300, seed=1)
         assert [e.step for e in events] == list(range(300))
-        assert {e.event_kind for e in events} == {"free_move"}
+        assert [e.event_kind for e in events] == ["transfer"] + ["free_move"] * 299
+
+    def test_unvisited_slow_state_is_never_walked(self):
+        # the strategy restarts at label 3 only; a start at label 2 would
+        # spend the whole path there
+        events = sample_trajectory(ChainSpec(**TRAP_AT_LABEL_2), degenerate_strategy(3, 3, 2), 200, seed=0)
+        assert len(events) == 200
+        assert 2 not in {e.state for e in events}
 
     def test_two_state_segments_are_pinned(self, two_state_segments):
         events = sample_trajectory(*two_state_segments, 5, seed=0)
         assert [(e.step, e.state, e.event_kind, e.income_delta) for e in events] == [
-            (0, 2, "free_move", 1.0),
+            (0, 2, "transfer", 0.0),
             (1, 3, "free_move", 2.0),
             (2, 0, "absorption", 0.0),
             (3, 2, "transfer", 0.0),
@@ -349,15 +353,14 @@ class TestAccountingIdentity:
         stats = simulate(reference_spec, strategy, cycles=cycles, seed=123)
         events = sample_trajectory(reference_spec, strategy, 4_000, seed=123)
 
-        # split events into warm-up and completed cycles
+        # each completed cycle runs from a transfer to the next absorption
         incomes = []
-        acc = None
         for event in events:
             if event.event_kind == "absorption":
-                if acc is not None:
-                    incomes.append(acc)
-                acc = 0.0
-            elif acc is not None:
+                incomes.append(acc)
+            elif event.event_kind == "transfer":
+                acc = event.income_delta
+            else:
                 acc += event.income_delta
         assert len(incomes) >= cycles
 
@@ -371,7 +374,8 @@ class TestAccountingIdentity:
         cycles = 60
         stats = simulate(reference_spec, strategy, cycles=cycles, seed=123)
         events = sample_trajectory(reference_spec, strategy, 4_000, seed=123)
-        starts = [e.state for e in events if e.event_kind == "absorption"][:cycles]
+        # the first cycle starts at boundary 0, each later one where the last ended
+        starts = [0] + [e.state for e in events if e.event_kind == "absorption"][:cycles - 1]
         assert stats.boundary_counts == (starts.count(0), starts.count(1))
 
 
