@@ -18,15 +18,19 @@ cycles of a pool in numpy lockstep, and stitches the pools into one path.
 * Streams: replication s of seed k draws from the PCG64 streams
   SeedSequence(k, spawn_key=(s, j)); j = 0 and 1 feed the pools of
   boundary 0 and 1; one replication is s = 0.
-* Pool b grows in chunks of 1, 16, 256 and then 4096 cycles each. A chunk
-  draws one uniform per restart, then one per running cycle per step.
-  The schedule does not depend on the request, so `simulate` with any
-  cycle count and `sample_trajectory` see prefixes of the same cycles.
+* Boundary b draws its cycles in pools of 1, 16, 256, 4096, 4096 and then
+  8192 cycles each. A pool draws one uniform per restart, then one per
+  running cycle per step, its running cycles kept in id order. The
+  schedule does not depend on the request, so `simulate` with any cycle
+  count and `sample_trajectory` see prefixes of the same cycles. Its
+  first 8465 cycles per boundary (1 + 16 + 256 + 4096 + 4096) are those
+  of the schedule that stayed at 4096, so a run within them keeps its bits.
 * Stitching: the i-th visit to boundary b takes the i-th cycle of pool b.
   Buffered cycles are stitched as far as they reach, folded into the
   totals, and only the pool that ran out is refilled.
 * ``segment_limit`` bounds the internal states of every drawn segment,
-  used or not: a longer one raises CycleLimitError.
+  used or not: a longer one raises CycleLimitError. A run can draw up to
+  8192 segments per boundary that it does not use.
   `sample_trajectory` cuts segments at ``max_steps`` states instead.
 """
 
@@ -42,7 +46,7 @@ from .errors import CycleLimitError, NumericOverflowError
 from .model import ChainSpec, Strategy, _check_count, _check_strategy
 
 DEFAULT_SEGMENT_LIMIT = 10**9
-_CHUNK_CAP = 4096
+_POOLS = (1, 16, 256, 4096, 4096, 8192)  # cycles per draw of a pool; the last size repeats
 
 FREE_MOVE = "free_move"
 ABSORPTION = "absorption"
@@ -135,21 +139,21 @@ class _Moments:
         return math.sqrt(self.m2 / (self.count - 1) / self.count) if self.count > 1 else 0.0
 
 
-def _stitch(at: int, exits: list[np.ndarray]) -> tuple[np.ndarray, int]:
+def _stitch(at: int, exits: list[np.ndarray]) -> tuple[np.ndarray, list[int], int]:
     """Visit order of the buffered cycles of both pools, from boundary ``at``.
 
     A run at boundary b takes pool-b cycles up to the first one that exits
     to the other boundary, and runs alternate between the pools: cycle i of
     pool b is in run 2k + (b != at), k counting the earlier pool-b cycles
     that switch. The order ends with the first run its pool cannot finish.
-    Returns indices into the concatenated pools and that run's boundary.
+    Returns the length of the prefix of each pool that the order takes,
+    indices into the two prefixes concatenated, and that run's boundary.
     """
-    keys = [2 * (np.cumsum(e != b) - (e != b)) + (b != at) for b, e in enumerate(exits)]
+    keys = [2 * (np.cumsum(e != b, dtype=np.int32) - (e != b)) + (b != at) for b, e in enumerate(exits)]
     stop = min(2 * np.count_nonzero(e != b) + (b != at) for b, e in enumerate(exits))
-    key = np.concatenate(keys)
-    take = np.flatnonzero(key <= stop)
-    order = take[np.argsort(key[take].astype(np.int32), kind="stable")]
-    return order, at if stop % 2 == 0 else 1 - at
+    cut = [int(k.searchsorted(stop, side="right")) for k in keys]
+    order = np.argsort(np.concatenate([k[:n] for k, n in zip(keys, cut)]), kind="stable")
+    return order, cut, at if stop % 2 == 0 else 1 - at
 
 
 class _Kernel:
@@ -174,19 +178,19 @@ class _Kernel:
         restarts, then steps in lockstep until each cycle hits the boundary."""
         rng = self.rngs[at]
         state = self.restart(np.full(size, at), rng.random(size))
-        pool = {"exit": np.zeros(size, dtype=np.intp), "income": self.d[at, state] + self.c[state]}
+        pool = {"exit": np.zeros(size, dtype=np.int8), "income": self.d[at, state] + self.c[state]}
         if self.record:
             pool["restart"] = state
         ids, inc, moves, steps = np.arange(size), pool["income"], [], 1
         while ids.size and steps <= self.limit:
             j = self.step(state, rng.random(ids.size))
-            hit = j < 2
-            if hit.any():
-                done, live = ids[hit], ~hit
-                pool["exit"][done], pool["income"][done] = j[hit], inc[hit]
-                ids, j, inc = ids[live], j[live], inc[live]
+            live = (j >= 2).nonzero()[0]
+            if live.size < ids.size:
+                # write every lane: a running lane's entries (its exit a label wrapped to int8) are rewritten
+                pool["exit"][ids], pool["income"][ids] = j, inc
+                ids, j, inc = ids.take(live), j.take(live), inc.take(live)
             state = j - 2
-            inc = inc + self.c[state]
+            inc = inc + self.c.take(state)
             steps += 1
             if self.record:
                 moves.append((ids, state))
@@ -203,17 +207,16 @@ class _Kernel:
     def cycles(self):
         """Yield consecutive stitched cycles from boundary 0, in batches:
         the pool arrays in visit order plus "start", True at boundary 1."""
-        at, sizes = 0, [1, 1]
+        at, sizes = 0, [itertools.chain(_POOLS, itertools.repeat(_POOLS[-1])) for _ in range(2)]
         pools = [self._draw(0, 0)] * 2  # empty: a draw of no cycles takes no uniforms
         while True:
             if not pools[at]["exit"].size:
-                pools[at], sizes[at] = self._draw(at, sizes[at]), min(16 * sizes[at], _CHUNK_CAP)
-            order, at = _stitch(at, [pool["exit"] for pool in pools])
-            batch = {key: np.concatenate([pools[0][key], pools[1][key]])[order] for key in pools[0]}
-            batch["start"] = order >= pools[0]["exit"].size
+                pools[at] = self._draw(at, next(sizes[at]))
+            order, cut, at = _stitch(at, [pool["exit"] for pool in pools])
+            batch = {key: np.concatenate([pools[0][key][:cut[0]], pools[1][key][:cut[1]]])[order] for key in pools[0]}
+            batch["start"] = order >= cut[0]
             yield batch
-            taken = np.bincount(batch["start"], minlength=2)
-            pools = [{key: v[n:] for key, v in pool.items()} for pool, n in zip(pools, taken)]
+            pools = [{key: v[n:] for key, v in pool.items()} for pool, n in zip(pools, cut)]
 
 
 def simulate(

@@ -1065,7 +1065,8 @@ class TestOutOfMemory:
 
 class TestSubprocessEntryPoint:
     @pytest.mark.parametrize("command, second_env", [
-        (("simulate", "--degenerate", "3", "3", "--cycles", "20000", "--seed", "42"), {}),
+        # (19927, 40073) cycles: both boundaries draw repeated 8192-cycle pools
+        (("simulate", "--degenerate", "3", "3", "--cycles", "60000", "--seed", "42"), {}),
         # the refutation's four streams (flat and targeted halves of alpha0 on
         # the calling thread, of alpha1 in a side thread) give the same
         # document in every process; minimizing draws on the negated rewards

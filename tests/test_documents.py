@@ -161,6 +161,23 @@ class TestPinnedOutputs:
             "replications": 1,
         }
 
+    def test_simulate_into_the_second_4096_pool(self, capsys, reference_model_file):
+        # 5315 boundary-1 cycles: past 1 + 16 + 256 + 4096, within 8465
+        status, doc = run_doc(
+            capsys, "simulate", str(reference_model_file), "--degenerate", "3", "3",
+            "--cycles", "8000", "--seed", "3",
+        )
+        assert status == 0
+        assert doc.pop("std_error") == pytest.approx(0.023096193366407856, rel=1e-12, abs=0)
+        assert doc == {
+            "cycles": 8000,
+            "total_income": 22883.999999997777,
+            "i_hat": 2.860499999999722,
+            "boundary_counts": [2685, 5315],
+            "seed": 3,
+            "replications": 1,
+        }
+
     def test_simulate_strategy_replicated(self, capsys, tmp_path, reference_model_file):
         strategy = write_json(tmp_path / "uniform.json", {"alpha0": [0.5, 0.5], "alpha1": [0.5, 0.5]})
         status, doc = run_doc(

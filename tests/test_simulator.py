@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import re
+import tracemalloc
 from bisect import bisect_right
 
 import numpy as np
@@ -171,6 +172,21 @@ class TestSimulate:
         assert (stats.total_income, stats.boundary_counts) == (10.0, (2, 3))
         with pytest.raises(CycleLimitError):
             simulate(*two_state_segments, cycles=5, seed=0, segment_limit=1)
+
+    def test_traced_memory_does_not_grow_with_the_run(self, reference_spec):
+        # a few pools' lanes; a run that kept its cycles would hold 16 bytes per cycle
+        strategy = degenerate_strategy(3, 3, 2)
+        simulate(reference_spec, strategy, 100_000, seed=1)  # numpy's first-call allocations
+        peaks = []
+        for cycles in (100_000, 1_000_000):
+            tracemalloc.start()
+            try:
+                simulate(reference_spec, strategy, cycles, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 2 * 2**20
+        assert max(peaks) <= 1.1 * min(peaks)
 
 
 class TestReplications:
@@ -346,12 +362,15 @@ class TestTrajectory:
         assert first == second
 
 
+# (cycles, max_steps, a count both boundaries exceed): 16657 = 1 + 16 + 256 + 4096 + 4096 + 8192,
+# so the long run draws a repeated 8192 pool on both boundaries
+@pytest.mark.parametrize("cycles, max_steps, past", [(60, 4_000, 0), (60_000, 200_000, 16657)])
 class TestAccountingIdentity:
-    def test_trajectory_cycles_reproduce_simulate_exactly(self, reference_spec):
+    def test_trajectory_cycles_reproduce_simulate_exactly(self, reference_spec, cycles, max_steps, past):
         strategy = Strategy([0.25, 0.75], [0.6, 0.4])
-        cycles = 60
         stats = simulate(reference_spec, strategy, cycles=cycles, seed=123)
-        events = sample_trajectory(reference_spec, strategy, 4_000, seed=123)
+        events = sample_trajectory(reference_spec, strategy, max_steps, seed=123)
+        assert min(stats.boundary_counts) > past
 
         # each completed cycle runs from a transfer to the next absorption
         incomes = []
@@ -369,11 +388,11 @@ class TestAccountingIdentity:
             total += income
         assert total == stats.total_income
 
-    def test_boundary_counts_match_trajectory(self, reference_spec):
+    def test_boundary_counts_match_trajectory(self, reference_spec, cycles, max_steps, past):
         strategy = Strategy([0.25, 0.75], [0.6, 0.4])
-        cycles = 60
         stats = simulate(reference_spec, strategy, cycles=cycles, seed=123)
-        events = sample_trajectory(reference_spec, strategy, 4_000, seed=123)
+        events = sample_trajectory(reference_spec, strategy, max_steps, seed=123)
+        assert min(stats.boundary_counts) > past
         # the first cycle starts at boundary 0, each later one where the last ended
         starts = [0] + [e.state for e in events if e.event_kind == "absorption"][:cycles - 1]
         assert stats.boundary_counts == (starts.count(0), starts.count(1))
