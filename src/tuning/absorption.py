@@ -26,6 +26,8 @@ import numpy as np
 from .errors import NumericOverflowError, SingularSystemError
 from .model import ChainSpec, ValidationReport, _frozen, _state_findings
 
+__all__ = ["AbsorptionAnalysis", "analyze_chain", "check_positivity", "fundamental_solve"]
+
 RESIDUAL_TOL = 1e-10
 POSITIVITY_EPS = 1e-12
 

@@ -6,6 +6,11 @@ front end copies it into error documents and maps it onto exit statuses.
 
 from __future__ import annotations
 
+__all__ = [
+    "CycleLimitError", "DegenerateChainError", "NumericOverflowError",
+    "PositivityError", "SingularSystemError", "TuningError",
+]
+
 
 class TuningError(Exception):
     """Base class for numeric and structural failures."""

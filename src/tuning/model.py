@@ -20,6 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
+__all__ = [
+    "ChainSpec", "Strategy", "ValidationReport", "Violation", "chain_spec_from_dict",
+    "degenerate_strategy", "load_chain_spec", "load_strategy", "strategy_from_dict",
+    "to_doc", "validate_chain", "validate_strategy",
+]
+
 ROW_SUM_TOL = 1e-9
 
 

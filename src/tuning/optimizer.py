@@ -36,6 +36,8 @@ from .model import ChainSpec, _check_count, _check_label
 from .stationary import _ratio, _rewards
 from .stationary import cost_coefficients  # noqa: F401 - perfbench patches this name here
 
+__all__ = ["OptimalControl", "RefutationReport", "refute_with_random_strategies", "solve_tuning"]
+
 SIGNS = {"maximize": 1.0, "minimize": -1.0}
 DIRECTIONS = tuple(SIGNS)
 DOMINANCE_TOL = 1e-9

@@ -45,6 +45,8 @@ import numpy as np
 from .errors import CycleLimitError, NumericOverflowError
 from .model import ChainSpec, Strategy, _check_count, _check_strategy
 
+__all__ = ["SimulationStats", "TrajectoryEvent", "sample_trajectory", "simulate"]
+
 DEFAULT_SEGMENT_LIMIT = 10**9
 _POOLS = (1, 16, 256, 4096, 4096, 8192)  # cycles per draw of a pool; the last size repeats
 

@@ -44,6 +44,11 @@ from .absorption import AbsorptionAnalysis
 from .errors import DegenerateChainError, NumericOverflowError
 from .model import ChainSpec, Strategy, _check_strategy
 
+__all__ = [
+    "CostCoefficients", "cost_coefficients", "embedded_transition", "indicator",
+    "stationary_distribution", "visit_income",
+]
+
 DEGENERACY_TOL = 1e-14
 
 ROUTES = ("embedded", "ratio", "fractional")

@@ -15,6 +15,16 @@ import tuning
 from tuning import OptimalControl, RefutationReport, solve_tuning, to_doc
 from tuning.cli import main
 
+PUBLIC_NAMES = [
+    "AbsorptionAnalysis", "ChainSpec", "CostCoefficients", "CycleLimitError", "DegenerateChainError",
+    "NumericOverflowError", "OptimalControl", "PositivityError", "RefutationReport", "SimulationStats",
+    "SingularSystemError", "Strategy", "TrajectoryEvent", "TuningError", "ValidationReport", "Violation",
+    "analyze_chain", "chain_spec_from_dict", "check_positivity", "cost_coefficients", "degenerate_strategy",
+    "embedded_transition", "fundamental_solve", "indicator", "load_chain_spec", "load_strategy",
+    "refute_with_random_strategies", "sample_trajectory", "simulate", "solve_tuning",
+    "stationary_distribution", "strategy_from_dict", "to_doc", "validate_chain", "validate_strategy",
+    "visit_income",
+]
 VIOLATION_KEYS = ["code", "message", "where"]
 SIMULATE_KEYS = [
     "cycles", "total_income", "i_hat", "std_error", "boundary_counts", "seed", "replications",
@@ -109,7 +119,19 @@ class TestKeyOrder:
 
 class TestToDoc:
     def test_library_export(self):
-        assert "to_doc" in tuning.__all__
+        # each module declares its public names once, in its own __all__;
+        # the package re-exports the sorted union
+        assert tuning.__all__ == PUBLIC_NAMES
+        modules = [tuning.absorption, tuning.errors, tuning.model, tuning.optimizer, tuning.simulator,
+                   tuning.stationary]
+        declared = [(module, name) for module in modules for name in module.__all__]
+        assert sorted(name for _, name in declared) == PUBLIC_NAMES  # no name in two modules' lists
+        for module, name in declared:
+            assert getattr(module, name).__module__ == module.__name__, name
+            assert getattr(tuning, name) is getattr(module, name), name
+        star: dict = {}
+        exec("from tuning import *", star)
+        assert sorted(set(star) - {"__builtins__"}) == PUBLIC_NAMES
         for gone in ("chain_spec_to_dict", "strategy_to_dict", "dump_chain_spec"):
             assert gone not in tuning.__all__ and not hasattr(tuning, gone)
 
